@@ -178,7 +178,10 @@ def emit_figure_data(cfg: ExperimentConfig, out, artifacts):
             if cfg.limits.k == 1:
                 z1 = [a for a in zs for _ in zs]
                 z2 = list(zs) * len(zs)
-                cov = [sh_covariance(prof, a, b) for a, b in zip(z1, z2)]
+                # the covariance is symmetric: evaluate z1 <= z2, mirror the rest
+                upper = {(a, b): sh_covariance(prof, a, b)
+                         for a, b in zip(z1, z2) if a <= b}
+                cov = [upper[min(a, b), max(a, b)] for a, b in zip(z1, z2)]
                 artifacts.append(write_csv(
                     out / f"sh_{prof.name}_{j}_covariance.csv",
                     ["z1", "z2", "cov"], [z1, z2, cov]))

@@ -13,33 +13,31 @@ Conventions
 
   over a symmetric frequency grid excluding 0, with ONE Hermitian complex
   Gaussian noise dB shared by all indices H.  c(H) is the normalization
-  constant that makes the default weight produce a unit-variance field.
-* The default weight psi(x) = (1 - exp(-ix)) / (ix) makes m(z, H) the
-  unit-lag increment field of the harmonizable fractional Brownian motion,
-  for which closed-form covariances exist and are used as oracles.
+  constant that makes the field unit-variance.
+* The weight psi(x) = (1 - exp(-ix)) / (ix) makes m(z, H) the unit-lag
+  increment field of the harmonizable fractional Brownian motion, for which
+  closed-form covariances exist and are used as oracles.
+* The frequency spacing is commensurate with the depth spacing, so the sum
+  over the uniform nodes is one FFT of the noise folded onto the depth
+  period.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gamma as _gamma_fn
 
 from .errors import ConfigurationError, DomainError, QuadratureError, SynthesisError
-from .quadrature import panel_nodes
 
 __all__ = [
     "Trajectory",
-    "SpectralWeight",
     "FrequencyGridSpec",
     "FieldGrid",
     "FieldCovariance",
-    "default_weight",
-    "flat_weight",
     "validate_hurst",
     "renorm_constant",
     "renorm_constant_sq",
@@ -52,6 +50,14 @@ __all__ = [
     "asymptotic_covariance_scale",
     "sample_field_diagonal",
 ]
+
+# depth span (in z units) the increment weight couples into the field
+_KERNEL_REACH = 1.0
+# geometric refinement of the first frequency cell (0, dx)
+_REFINE_OCTAVES = 30
+_REFINE_PER_OCTAVE = 6
+# largest accepted deviation of a discretized column variance from 1
+_VAR_TOL = 0.02
 
 
 # --------------------------------------------------------------------------
@@ -91,82 +97,12 @@ class Trajectory:
         return self.t_grid.size
 
 
-@dataclass(frozen=True)
-class SpectralWeight:
-    """Complex spectral weight psi with Hermitian symmetry psi(-x) = conj(psi(x)).
-
-    ``evaluator`` must accept a float array of frequencies and return complex
-    values.  ``abs2_cos_series`` optionally describes |psi(x)|^2 exactly as
-    ``x**abs2_power * sum_i a_i cos(w_i x)``; when present, covariance
-    quadratures use fast Fourier-weighted tails.  ``kernel_reach`` is the
-    extra depth span (in z units) the weight couples into the field; the
-    unit-lag increment weight reaches 1.
-    """
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    tag: str = "custom"
-    abs2_cos_series: tuple | None = None
-    abs2_power: float = 0.0
-    kernel_reach: float = 0.0
-    unit_variance: bool = False
-
-    def __call__(self, x):
-        return np.asarray(self.evaluator(np.asarray(x, dtype=float)), dtype=complex)
-
-
-def default_weight() -> SpectralWeight:
-    """Unit-lag increment weight psi(x) = (1 - exp(-ix)) / (ix), psi(0) = 1."""
-
-    def _psi(x):
-        out = np.ones_like(x, dtype=complex)
-        nz = x != 0
-        out[nz] = (1.0 - np.exp(-1j * x[nz])) / (1j * x[nz])
-        return out
-
-    # |psi|^2 = (2 - 2 cos x) / x^2
-    return SpectralWeight(
-        evaluator=_psi,
-        tag="increment",
-        abs2_cos_series=((2.0, 0.0), (-2.0, 1.0)),
-        abs2_power=-2.0,
-        kernel_reach=1.0,
-        unit_variance=True,
-    )
-
-
-def flat_weight() -> SpectralWeight:
-    """psi identical to 1 (admissible only on truncated frequency grids)."""
-    return SpectralWeight(
-        evaluator=lambda x: np.ones_like(x, dtype=complex),
-        tag="flat",
-        abs2_cos_series=((1.0, 0.0),),
-        abs2_power=0.0,
-    )
-
-
-def check_weight(psi: SpectralWeight, *, x_max=200.0, n_probe=512,
-                 decay_constant=None):
-    """Validate a spectral weight on a probe grid.
-
-    Checks psi(0) = 1, Hermitian symmetry psi(-x) = conj(psi(x)), and the
-    decay bound |psi(x)| <= c / |x| for |x| >= 1 (c estimated from the probe
-    unless given).  Raises on violation; returns the decay constant.
-    """
-    x = np.linspace(1e-9, x_max, n_probe)
-    vals = psi(x)
-    mirror = psi(-x)
-    if not np.allclose(mirror, np.conj(vals), rtol=1e-9, atol=1e-12):
-        raise ConfigurationError("weight is not Hermitian-symmetric")
-    at_zero = complex(psi(np.array([0.0]))[0])
-    if abs(at_zero - 1.0) > 1e-9:
-        raise ConfigurationError(f"weight must satisfy psi(0) = 1, got {at_zero}")
-    tail = x >= 1.0
-    scaled = np.abs(vals[tail]) * x[tail]
-    c = float(decay_constant if decay_constant is not None else scaled.max())
-    if np.any(scaled > c * (1.0 + 1e-9)):
-        raise ConfigurationError(
-            f"weight violates the decay bound |psi(x)| <= {c:g}/|x|")
-    return c
+def _increment_weight(x):
+    """psi(x) = (1 - exp(-ix)) / (ix), psi(0) = 1."""
+    out = np.ones_like(x, dtype=complex)
+    nz = x != 0
+    out[nz] = (1.0 - np.exp(-1j * x[nz])) / (1j * x[nz])
+    return out
 
 
 @dataclass(frozen=True)
@@ -178,13 +114,11 @@ class FrequencyGridSpec:
     implied by Hermitian symmetry of the noise, so sampled fields are real.
     The spectral density |x|^(1-2H) is scale-free near 0, so a uniform grid
     alone loses an O(dx^(2-2H)) share of the variance; log-spaced sub-nodes
-    over ``refine_octaves`` octaves below dx recover it.
+    over ``_REFINE_OCTAVES`` octaves below dx recover it.
     """
 
     x_max: float
     dx: float
-    refine_octaves: int = 30
-    refine_per_octave: int = 6
 
     def __post_init__(self):
         if not (self.x_max > 0 and self.dx > 0 and self.x_max > self.dx):
@@ -196,12 +130,12 @@ class FrequencyGridSpec:
 
     @property
     def n_fine(self) -> int:
-        return self.refine_octaves * self.refine_per_octave
+        return _REFINE_OCTAVES * _REFINE_PER_OCTAVE
 
     def positive_nodes(self):
         """Ascending positive nodes and their cell widths."""
         bounds = self.dx * 2.0 ** (-np.arange(self.n_fine + 1, dtype=float)
-                                   / self.refine_per_octave)
+                                   / _REFINE_PER_OCTAVE)
         bounds = bounds[::-1]
         fine = 0.5 * (bounds[:-1] + bounds[1:])
         fine_w = np.diff(bounds)
@@ -210,19 +144,26 @@ class FrequencyGridSpec:
         return np.concatenate([fine, uni]), np.concatenate([fine_w, uni_w])
 
     @classmethod
-    def for_grid(cls, z_grid, reach=1.0) -> "FrequencyGridSpec":
+    def for_grid(cls, z_grid) -> "FrequencyGridSpec":
         """Default spec for a depth grid: cutoff 64*pi/dz, spacing from span.
 
         The spacing keeps the synthesized field's period at four times the
         sampled span (plus the weight's reach); together with the refined
         first cell this bounds the variance discretization error below 1%
-        for indices up to 0.9.
+        for indices up to 0.9.  Where that spacing is not commensurate with
+        dz (dz * dx = 2*pi/N for an integer N), it is lowered to the next
+        commensurate one, so every default grid is synthesized by one FFT
+        fold and the period only grows.
         """
         z = np.asarray(z_grid, dtype=float)
         dz = float(z[1] - z[0]) if z.size > 1 else 1.0
         span = float(z[-1] - z[0]) if z.size > 1 else 0.0
-        eff = max(span + reach, 8.0)
-        return cls(x_max=64.0 * np.pi / dz, dx=2.0 * np.pi / (4.0 * eff))
+        eff = max(span + _KERNEL_REACH, 8.0)
+        x_max = 64.0 * np.pi / dz
+        dx = 2.0 * np.pi / (4.0 * eff)
+        if _fold_size(dz, dx, span, x_max) is None:
+            dx = 2.0 * np.pi / (math.ceil(2.0 * np.pi / (dz * dx)) * dz)
+        return cls(x_max=x_max, dx=dx)
 
 
 @dataclass(frozen=True)
@@ -237,7 +178,6 @@ class FieldGrid:
     h_values: np.ndarray
     samples: np.ndarray
     grid_spec: FrequencyGridSpec
-    psi_tag: str
     column_variance: np.ndarray
     meta: dict = field(default_factory=dict)
 
@@ -412,28 +352,42 @@ def _fold_size(dz, dx, span, x_max):
     return n if phase_err < 1e-3 else None
 
 
-def _dense_transform(z, x, c):
-    """sum_k c_k exp(-i z_j x_k), chunked over depths."""
-    acc = np.empty(z.size, dtype=complex)
-    for lo in range(0, z.size, 4096):
-        hi = min(lo + 4096, z.size)
-        acc[lo:hi] = np.exp(-1j * np.outer(z[lo:hi], x)) @ c
-    return acc
+def _fold_length(z, grid_spec):
+    """FFT length of the fold for depth grid ``z``; one depth is a trivial
+    fold of length 1.  Raises when the grid would alias or is not
+    commensurate with the frequency spacing."""
+    span = float(z[-1] - z[0])
+    phase = grid_spec.dx * (span + _KERNEL_REACH)
+    if phase > 0.5 * np.pi * (1.0 + 1e-9):
+        raise ConfigurationError(
+            "frequency spacing too coarse for the depth span: "
+            f"dx * span = {phase:.3f} exceeds pi/2, the sampled field would alias "
+            "(wrap within its synthesis period)")
+    if z.size == 1:
+        return 1
+    dz = float(z[1] - z[0])
+    nfold = _fold_size(dz, grid_spec.dx, span, grid_spec.x_max)
+    if nfold is None or nfold < z.size:
+        raise ConfigurationError(
+            f"frequency spacing dx = {grid_spec.dx:.6g} is not commensurate "
+            f"with the depth spacing dz = {dz:.6g}: dz * dx must be 2*pi/N for "
+            f"an integer N >= {z.size}")
+    return nfold
 
 
 class _SpectralContext:
-    """Noise-independent node data for one (weight, frequency grid) pair.
+    """Noise-independent node data for one frequency grid.
 
     Building the nodes and evaluating psi on two million of them dominates
     the cost of a single synthesis call, so ensemble generation reuses the
     context across paths.
     """
 
-    def __init__(self, psi, grid_spec):
+    def __init__(self, grid_spec):
         self.grid_spec = grid_spec
         self.x, self.widths = grid_spec.positive_nodes()
         self.logx = np.log(self.x)
-        self.psix = psi(self.x)
+        self.psix = _increment_weight(self.x)
         self.sqrt_half_widths = np.sqrt(0.5 * self.widths)
         self.a2w = self.widths * np.abs(self.psix) ** 2
         self._stats = {}
@@ -478,74 +432,54 @@ class _SpectralContext:
 _CTX_CACHE: dict = {}
 
 
-def _spectral_context(psi, grid_spec) -> _SpectralContext:
-    key = (psi.tag if psi.tag in ("increment", "flat") else f"cust{id(psi)}",
-           grid_spec)
-    ctx = _CTX_CACHE.get(key)
+def _spectral_context(grid_spec) -> _SpectralContext:
+    ctx = _CTX_CACHE.get(grid_spec)
     if ctx is None:
-        ctx = _SpectralContext(psi, grid_spec)
+        ctx = _SpectralContext(grid_spec)
         if len(_CTX_CACHE) >= 2:
             _CTX_CACHE.pop(next(iter(_CTX_CACHE)))
-        _CTX_CACHE[key] = ctx
+        _CTX_CACHE[grid_spec] = ctx
     return ctx
 
 
-def _field_columns(h_values, z_grid, ctx, noise):
-    """Evaluate m(z_j, H_i) = 2 Re sum_k g_k(H_i) dB_k exp(-i z_j x_k)."""
-    z = np.asarray(z_grid, dtype=float)
+def _field_columns(h_values, z, ctx, noise, nfold):
+    """Evaluate m(z_j, H_i) = 2 Re sum_k g_k(H_i) dB_k exp(-i z_j x_k): the
+    uniform nodes by one FFT of length ``nfold``, the refined ones by a
+    direct product."""
     x = ctx.x
     nf = ctx.grid_spec.n_fine
     out = np.empty((z.size, len(h_values)))
-    dz = z[1] - z[0] if z.size > 1 else None
-    nfold = (_fold_size(dz, ctx.grid_spec.dx, z[-1] - z[0], ctx.grid_spec.x_max)
-             if dz else None)
     base = noise * ctx.psix
     if z[0] != 0.0:
         base = base * np.exp(-1j * z[0] * x)
-    if nfold is not None and nfold >= z.size:
-        j = np.arange(z.size)
-        twiddle = np.exp(-1j * np.pi * j / nfold)
-        fine = ctx.fine_phases(z)
-        n_uni = x.size - nf
-        buf = np.zeros((n_uni + nfold) // nfold * nfold + nfold, dtype=complex)
-        for i, h in enumerate(h_values):
-            c = base * (ctx.kernel_power(h) / renorm_constant(h))
-            # uniform nodes sit at x = (k + 1/2) dx, k >= 1: slot k = 0 is empty
-            buf[:] = 0.0
-            buf[1:1 + n_uni] = c[nf:]
-            folded = buf.reshape(-1, nfold).sum(axis=0)
-            s = np.fft.fft(folded)[:z.size] * twiddle
-            s += fine @ c[:nf].astype(np.complex64)
-            out[:, i] = 2.0 * s.real
-    else:
-        # dense fallback for short or non-commensurate grids
-        for i, h in enumerate(h_values):
-            c = base * (ctx.kernel_power(h) / renorm_constant(h))
-            out[:, i] = 2.0 * _dense_transform(z, x, c).real
+    j = np.arange(z.size)
+    twiddle = np.exp(-1j * np.pi * j / nfold)
+    fine = ctx.fine_phases(z)
+    n_uni = x.size - nf
+    buf = np.zeros((n_uni + nfold) // nfold * nfold + nfold, dtype=complex)
+    for i, h in enumerate(h_values):
+        c = base * (ctx.kernel_power(h) / renorm_constant(h))
+        # uniform nodes sit at x = (k + 1/2) dx, k >= 1: slot k = 0 is empty
+        buf[:] = 0.0
+        buf[1:1 + n_uni] = c[nf:]
+        folded = buf.reshape(-1, nfold).sum(axis=0)
+        s = np.fft.fft(folded)[:z.size] * twiddle
+        s += fine @ c[:nf].astype(np.complex64)
+        out[:, i] = 2.0 * s.real
     return out
 
 
-def _check_alias(z_grid, psi, grid_spec):
-    z = np.asarray(z_grid, dtype=float)
-    span = float(z[-1] - z[0]) if z.size > 1 else 0.0
-    phase = grid_spec.dx * (span + psi.kernel_reach)
-    if phase > 0.5 * np.pi * (1.0 + 1e-9):
-        raise ConfigurationError(
-            "frequency spacing too coarse for the depth span: "
-            f"dx * span = {phase:.3f} exceeds pi/2, the sampled field would alias "
-            "(wrap within its synthesis period)")
-
-
-def synthesize_field_grid(h_values, z_grid, psi=None, grid_spec=None, seed=0,
-                          *, var_tol=0.02) -> FieldGrid:
+def synthesize_field_grid(h_values, z_grid, *, grid_spec=None,
+                          seed=0) -> FieldGrid:
     """Sample the coupled field m(z_j, H_i) for several indices at once.
 
     All columns are driven by one Hermitian complex Gaussian noise on the
     frequency grid, so they are perfectly coupled: requesting the same index
-    twice returns identical samples.  For the default weight each column's
-    variance is checked against 1 within ``var_tol``.
+    twice returns identical samples.  Each column's discretized variance is
+    checked against 1 within 2%.  ``grid_spec`` defaults to
+    :meth:`FrequencyGridSpec.for_grid`; an explicit one must be commensurate
+    with the depth spacing.
     """
-    psi = psi if psi is not None else default_weight()
     z = np.asarray(z_grid, dtype=float)
     if z.ndim != 1 or z.size < 1:
         raise ConfigurationError("need a one-dimensional depth grid")
@@ -555,29 +489,29 @@ def synthesize_field_grid(h_values, z_grid, psi=None, grid_spec=None, seed=0,
             raise ConfigurationError("depth grid must be uniform and increasing")
     hs = [validate_hurst(h) for h in np.atleast_1d(h_values)]
     if grid_spec is None:
-        grid_spec = FrequencyGridSpec.for_grid(z, reach=max(psi.kernel_reach, 1.0))
-    _check_alias(z, psi, grid_spec)
+        grid_spec = FrequencyGridSpec.for_grid(z)
+    nfold = _fold_length(z, grid_spec)
 
-    ctx = _spectral_context(psi, grid_spec)
+    ctx = _spectral_context(grid_spec)
     rng = np.random.default_rng(seed)
     k = ctx.widths.size
     g = rng.standard_normal(2 * k)
     noise = (g[:k] + 1j * g[k:]) * ctx.sqrt_half_widths
 
-    samples = _field_columns(hs, z, ctx, noise)
+    samples = _field_columns(hs, z, ctx, noise, nfold)
     var, cross = ctx.column_stats(hs)
-    if psi.unit_variance and np.any(np.abs(var - 1.0) > var_tol):
+    if np.any(np.abs(var - 1.0) > _VAR_TOL):
         worst = float(np.abs(var - 1.0).max())
         raise ConfigurationError(
-            f"discretized column variance off by {worst:.3%} (> {var_tol:.1%}); "
+            f"discretized column variance off by {worst:.3%} (> {_VAR_TOL:.1%}); "
             "refine the frequency grid")
     return FieldGrid(z_grid=z, h_values=np.asarray(hs), samples=samples,
-                     grid_spec=grid_spec, psi_tag=psi.tag, column_variance=var,
+                     grid_spec=grid_spec, column_variance=var,
                      meta={"seed": _seed_repr(seed), "adjacent_covariance": cross})
 
 
-def sample_field_diagonal(h_of_z, z_grid, psi=None, grid_spec=None, seed=0,
-                          *, level_spacing=0.01) -> tuple[np.ndarray, dict]:
+def sample_field_diagonal(h_of_z, z_grid, *, grid_spec=None, seed=0,
+                          level_spacing=0.01) -> tuple[np.ndarray, dict]:
     """Samples m(z_j, h(z_j)) along a depth-varying index profile.
 
     Exact for constant profiles.  Varying profiles are evaluated on a ladder
@@ -585,18 +519,17 @@ def sample_field_diagonal(h_of_z, z_grid, psi=None, grid_spec=None, seed=0,
     levels; the blend is rescaled with the exact discrete level covariances so
     the marginal variance matches the single-level construction.
     """
-    psi = psi if psi is not None else default_weight()
     h = np.asarray(h_of_z, dtype=float)
     z = np.asarray(z_grid, dtype=float)
     if h.shape != z.shape:
         raise ConfigurationError("index profile and depth grid shapes differ")
     hmin, hmax = float(h.min()), float(h.max())
     if hmax - hmin < 1e-12:
-        fg = synthesize_field_grid([hmin], z, psi, grid_spec, seed)
-        return fg.samples[:, 0].copy(), {"levels": fg.h_values, "grid": fg.grid_spec}
+        fg = synthesize_field_grid([hmin], z, grid_spec=grid_spec, seed=seed)
+        return fg.samples[:, 0].copy(), {"levels": fg.h_values}
     n_lev = max(2, int(math.ceil((hmax - hmin) / level_spacing)) + 1)
     levels = np.linspace(hmin, hmax, n_lev)
-    fg = synthesize_field_grid(levels, z, psi, grid_spec, seed)
+    fg = synthesize_field_grid(levels, z, grid_spec=grid_spec, seed=seed)
     var = fg.column_variance
     cross = fg.meta["adjacent_covariance"]
 
@@ -608,7 +541,7 @@ def sample_field_diagonal(h_of_z, z_grid, psi=None, grid_spec=None, seed=0,
                  + 2.0 * w * (1.0 - w) * cross[idx])
     target_var = (1.0 - w) * var[idx] + w * var[idx + 1]
     values = blend * np.sqrt(target_var / blend_var)
-    return values, {"levels": levels, "grid": fg.grid_spec}
+    return values, {"levels": levels}
 
 
 # --------------------------------------------------------------------------
@@ -618,27 +551,19 @@ def sample_field_diagonal(h_of_z, z_grid, psi=None, grid_spec=None, seed=0,
 @dataclass(frozen=True)
 class FieldCovariance:
     """Quadrature value of the spectral covariance integral, with the
-    closed form and discrepancy when the weight admits one."""
+    closed form it was checked against."""
 
     value: float
     error_estimate: float
-    closed_form: float | None = None
-
-    @property
-    def discrepancy(self) -> float | None:
-        if self.closed_form is None:
-            return None
-        return abs(self.value - self.closed_form)
+    closed_form: float
 
     def __float__(self):
         return self.value
 
 
 def _cos_tail(w, q, b, epsabs):
-    """int_b^inf cos(w x) x^q dx; q < 0, and q < -1 when w == 0."""
+    """int_b^inf cos(w x) x^q dx for q < -1."""
     if w == 0.0:
-        if q >= -1.0:
-            raise QuadratureError("non-oscillatory tail diverges for this weight")
         return -(b ** (q + 1.0)) / (q + 1.0), 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
@@ -647,24 +572,26 @@ def _cos_tail(w, q, b, epsabs):
     return val, err
 
 
-def _quadrature_head(d, s, psi, b, epsabs):
+def _quadrature_head(d, s, b, epsabs):
     """int_0^b 2 cos(d x) |psi(x)|^2 x^(1-s) dx with the power-law endpoint
     removed by the substitution x = t^(1/(2-s))."""
     beta = 1.0 / (2.0 - s)
 
     def integrand(t):
         x = t ** beta
-        return 2.0 * np.cos(d * x) * np.abs(psi(np.atleast_1d(x))[0]) ** 2
+        return 2.0 * np.cos(d * x) * np.abs(_increment_weight(np.atleast_1d(x))[0]) ** 2
 
     val, err = quad(integrand, 0.0, b ** (1.0 / beta), epsabs=epsabs,
                     epsrel=1e-10, limit=400)
     return beta * val, beta * err
 
 
-def _quadrature_tail_series(d, s, psi, b, epsabs):
-    q = 1.0 - s + psi.abs2_power
+def _quadrature_tail(d, s, b, epsabs):
+    """int_b^inf 2 cos(d x) |psi(x)|^2 x^(1-s) dx, expanding
+    |psi(x)|^2 = (2 - 2 cos x) / x^2 into Fourier-weighted power tails."""
+    q = 1.0 - s - 2.0
     total, err = 0.0, 0.0
-    for amp, freq in psi.abs2_cos_series:
+    for amp, freq in ((2.0, 0.0), (-2.0, 1.0)):
         for w in (d + freq, d - freq):
             v, e = _cos_tail(w, q, b, epsabs)
             total += amp * v
@@ -672,26 +599,7 @@ def _quadrature_tail_series(d, s, psi, b, epsabs):
     return total, err
 
 
-def _quadrature_tail_panels(d, s, psi, b, epsabs):
-    # generic weight: graded oscillation panels to a cutoff from the decay bound
-    probes = np.linspace(max(10.0, 2 * b), 10.0 * max(10.0, 2 * b), 64)
-    c_est = 1.5 * float(np.max(np.abs(psi(probes)) * probes))
-    x_cut = max(4.0 * b, (2.0 * c_est ** 2 / (s * max(epsabs, 1e-14))) ** (1.0 / s))
-    step = np.pi / (abs(d) + 2.0)
-    n_panels = int(np.ceil((x_cut - b) / step))
-    if n_panels > 400_000:
-        raise QuadratureError(
-            "oscillatory tail needs too many panels at this lag; "
-            "provide a cosine-mode expansion of |psi|^2",
-            residual=2.0 * c_est ** 2 * b ** (-s) / s)
-    edges = b + step * np.arange(n_panels + 1)
-    nodes, weights = panel_nodes(edges, 12)
-    vals = 2.0 * np.cos(d * nodes) * np.abs(psi(nodes)) ** 2 * nodes ** (1.0 - s)
-    tail_bound = 2.0 * c_est ** 2 * x_cut ** (-s) / s
-    return float(np.dot(weights, vals)), tail_bound
-
-
-def field_covariance(z1, z2, h1, h2, psi=None, *, epsabs=1e-10,
+def field_covariance(z1, z2, h1, h2, *, epsabs=1e-10,
                      x_break=1.0) -> FieldCovariance:
     """Covariance of the spectral field between (z1, H1) and (z2, H2).
 
@@ -699,10 +607,10 @@ def field_covariance(z1, z2, h1, h2, psi=None, *, epsabs=1e-10,
 
         int exp(i (z2 - z1) x) |psi(x)|^2 / (c(H1) c(H2) |x|^(H1+H2-1)) dx
 
-    by quadrature.  For the default weight the closed-form increment-field
-    covariance is evaluated alongside and returned for cross-checking.
+    by quadrature, independently of the closed-form increment-field
+    covariance, which is evaluated alongside and returned for
+    cross-checking.
     """
-    psi = psi if psi is not None else default_weight()
     h1 = validate_hurst(h1)
     h2 = validate_hurst(h2)
     s = h1 + h2
@@ -711,19 +619,14 @@ def field_covariance(z1, z2, h1, h2, psi=None, *, epsabs=1e-10,
     d = abs(float(z2) - float(z1))
     norm = renorm_constant(h1) * renorm_constant(h2)
 
-    head, head_err = _quadrature_head(d, s, psi, x_break, epsabs)
-    if psi.abs2_cos_series is not None:
-        tail, tail_err = _quadrature_tail_series(d, s, psi, x_break, epsabs)
-    else:
-        tail, tail_err = _quadrature_tail_panels(d, s, psi, x_break, epsabs)
+    head, head_err = _quadrature_head(d, s, x_break, epsabs)
+    tail, tail_err = _quadrature_tail(d, s, x_break, epsabs)
     value = (head + tail) / norm
     err = (head_err + tail_err) / norm
-    closed = None
-    if psi.tag == "increment":
-        closed = float(increment_field_covariance(z1, z2, h1, h2))
-        if abs(value - closed) > max(100.0 * (err + epsabs), 1e-3 * abs(closed)):
-            raise QuadratureError(
-                f"field covariance quadrature ({value:.6e}) disagrees with the "
-                f"closed form ({closed:.6e})", residual=abs(value - closed))
+    closed = float(increment_field_covariance(z1, z2, h1, h2))
+    if abs(value - closed) > max(100.0 * (err + epsabs), 1e-3 * abs(closed)):
+        raise QuadratureError(
+            f"field covariance quadrature ({value:.6e}) disagrees with the "
+            f"closed form ({closed:.6e})", residual=abs(value - closed))
     return FieldCovariance(value=float(value), error_estimate=float(err),
                            closed_form=closed)

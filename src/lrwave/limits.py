@@ -16,6 +16,7 @@ the asymptotic field covariance for the multifractional case.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,8 @@ __all__ = [
 # low-frequency dominated, so 16*pi per unit micro step keeps the truncated
 # variance share below 0.5% at a quarter of the media-sampling cost
 _SH_X_MAX_FACTOR = 16.0 * np.pi
+# Monte Carlo paths behind the rank-K normalization of a varying profile
+_CALIBRATION_PATHS = 256
 
 
 def _as_profile(h_profile):
@@ -83,7 +86,7 @@ def _hermite_sum_std(h_tilde, k, n):
     return math.sqrt(var)
 
 
-def simulate_hermite(h, k, n, seed, *, normalization="unit_variance_at_1") -> Trajectory:
+def simulate_hermite(h, k, n, seed) -> Trajectory:
     """Rank-K Hermite process by partial sums of P_K of exact fGn.
 
     The driving noise has index (H - 1)/K + 1 so the K-th Hermite power
@@ -103,31 +106,23 @@ def simulate_hermite(h, k, n, seed, *, normalization="unit_variance_at_1") -> Tr
         raise DomainError("need at least two increments")
     y = synthesize_fgn(h_tilde, n, seed)
     p = hermite_poly(k, y.values)
-    if normalization == "unit_variance_at_1":
-        scale = _hermite_sum_std(h_tilde, k, n)
-    elif normalization == "raw":
-        scale = float(n) ** h
-    else:
-        raise DomainError(f"unknown normalization {normalization!r}")
+    scale = _hermite_sum_std(h_tilde, k, n)
     values = np.concatenate([[0.0], np.cumsum(p)]) / scale
     return Trajectory(np.arange(n + 1) / n, values,
                       meta={"kind": "hermite", "h": h, "k": k, "n": n,
-                            "seed": y.meta.get("seed"),
-                            "normalization": normalization})
+                            "seed": y.meta.get("seed")})
 
 
-def _coupled_noise(h_field, n, seed, *, level_spacing, grid_spec=None):
+def _coupled_noise(h_field, n, seed, *, level_spacing):
     zeta = np.arange(1, n + 1, dtype=float)
-    if grid_spec is None:
-        grid_spec = FrequencyGridSpec(x_max=_SH_X_MAX_FACTOR,
-                                      dx=2.0 * np.pi / (4.0 * (n + 1.0)))
-    values, info = sample_field_diagonal(h_field, zeta, grid_spec=grid_spec,
-                                         seed=seed, level_spacing=level_spacing)
-    return values, info
+    grid_spec = FrequencyGridSpec(x_max=_SH_X_MAX_FACTOR,
+                                  dx=2.0 * np.pi / (4.0 * (n + 1.0)))
+    values, _ = sample_field_diagonal(h_field, zeta, grid_spec=grid_spec,
+                                      seed=seed, level_spacing=level_spacing)
+    return values
 
 
-def simulate_sh(h_profile, n, seed, *, level_spacing=0.02,
-                grid_spec=None) -> Trajectory:
+def simulate_sh(h_profile, n, seed, *, level_spacing=0.02) -> Trajectory:
     """Multifractional limit process on [0, 1]: partial sums
     sum_{j <= N t} N^(-h(j/N)) Y_j(h(j/N)) with one shared spectral noise
     coupling the fractional white noises Y(.) across indices."""
@@ -135,18 +130,19 @@ def simulate_sh(h_profile, n, seed, *, level_spacing=0.02,
     if n < 2 ** 8:
         raise DomainError("need at least 2^8 increments")
     h = _profile_values(h_profile, n)
-    y, _ = _coupled_noise(h, n, seed, level_spacing=level_spacing,
-                          grid_spec=grid_spec)
+    y = _coupled_noise(h, n, seed, level_spacing=level_spacing)
     values = np.concatenate([[0.0], np.cumsum(float(n) ** (-h) * y)])
     return Trajectory(np.arange(n + 1) / n, values,
                       meta={"kind": "sh", "n": n, "seed": repr(seed)})
 
 
+# calibrated rank-K scales, keyed by value: (digest of the profile samples,
+# k, n, level spacing); bounded, oldest entry evicted first
 _SH_HERMITE_NORM_CACHE: dict = {}
 
 
-def simulate_sh_hermite(h_profile, k, n, seed, *, level_spacing=0.02,
-                        grid_spec=None, calibration_paths=256) -> Trajectory:
+def simulate_sh_hermite(h_profile, k, n, seed, *,
+                        level_spacing=0.02) -> Trajectory:
     """Rank-K multifractional process: partial sums of P_K of the coupled
     noise at field indices (h(.) - 1)/K + 1, weighted N^(-h(.)).
 
@@ -162,8 +158,7 @@ def simulate_sh_hermite(h_profile, k, n, seed, *, level_spacing=0.02,
         raise DomainError("need at least 2^8 increments")
     h = _profile_values(h_profile, n)
     h_field = (h - 1.0) / k + 1.0
-    y, _ = _coupled_noise(h_field, n, seed, level_spacing=level_spacing,
-                          grid_spec=grid_spec)
+    y = _coupled_noise(h_field, n, seed, level_spacing=level_spacing)
     p = hermite_poly(k, y)
     weights = float(n) ** (-h)
     if k == 1:
@@ -171,17 +166,18 @@ def simulate_sh_hermite(h_profile, k, n, seed, *, level_spacing=0.02,
     elif np.ptp(h) < 1e-12:
         scale = _hermite_sum_std(float(h_field[0]), k, n) / float(n) ** float(h[0])
     else:
-        key = (h.tobytes(), k, n, int(calibration_paths))
+        key = (hashlib.sha256(h.tobytes()).digest(), k, n, level_spacing)
         scale = _SH_HERMITE_NORM_CACHE.get(key)
         if scale is None:
             # calibration paths draw from their own fixed seed stream
-            acc = np.empty(calibration_paths)
-            for i in range(calibration_paths):
-                yc, _ = _coupled_noise(h_field, n, (987001, k, i),
-                                       level_spacing=level_spacing,
-                                       grid_spec=grid_spec)
+            acc = np.empty(_CALIBRATION_PATHS)
+            for i in range(_CALIBRATION_PATHS):
+                yc = _coupled_noise(h_field, n, (987001, k, i),
+                                    level_spacing=level_spacing)
                 acc[i] = np.dot(weights, hermite_poly(k, yc))
             scale = float(acc.std(ddof=1))
+            if len(_SH_HERMITE_NORM_CACHE) >= 8:
+                _SH_HERMITE_NORM_CACHE.pop(next(iter(_SH_HERMITE_NORM_CACHE)))
             _SH_HERMITE_NORM_CACHE[key] = scale
     values = np.concatenate([[0.0], np.cumsum(weights * p)]) / scale
     return Trajectory(np.arange(n + 1) / n, values,
@@ -276,7 +272,6 @@ class LimitSpec:
     h: float | None = None         # constant index (fbm / hermite)
     k: int = 1
     h_profile: object = None       # callable on [0, 1] (multifrac kinds)
-    normalization: str = "unit_variance_at_1"
 
     def __post_init__(self):
         kinds = ("fbm", "hermite", "multifrac", "multifrac_hermite")
@@ -290,11 +285,9 @@ class LimitSpec:
 
 def simulate(spec: LimitSpec) -> Trajectory:
     if spec.kind == "fbm":
-        return simulate_hermite(spec.h, 1, spec.n, spec.seed,
-                                normalization=spec.normalization)
+        return simulate_hermite(spec.h, 1, spec.n, spec.seed)
     if spec.kind == "hermite":
-        return simulate_hermite(spec.h, spec.k, spec.n, spec.seed,
-                                normalization=spec.normalization)
+        return simulate_hermite(spec.h, spec.k, spec.n, spec.seed)
     if spec.kind == "multifrac":
         return simulate_sh(spec.h_profile, spec.n, spec.seed)
     return simulate_sh_hermite(spec.h_profile, spec.k, spec.n, spec.seed)

@@ -122,15 +122,14 @@ class MediumSpec:
     hermite: HermiteSpec | None = None
     n_slabs: int | None = None
     seed: int | tuple = 0
-    micro_step: float = 1.0
     level_spacing: float = 0.01
     kind: str = "long_range"
 
     def __post_init__(self):
         if not (0 < self.epsilon < 1):
             raise ConfigurationError("epsilon must lie in (0, 1)")
-        if self.tau <= 0 or self.depth <= 0 or self.micro_step <= 0:
-            raise ConfigurationError("tau, depth and micro_step must be positive")
+        if self.tau <= 0 or self.depth <= 0:
+            raise ConfigurationError("tau and depth must be positive")
         if self.kind == "mixing":
             return
         if (self.gamma_profile is None) == (self.h_profile is None):
@@ -180,7 +179,7 @@ class MediumSpec:
         if self.n_slabs is not None:
             n = int(self.n_slabs)
         else:
-            n = int(math.ceil(self.depth / (self.epsilon ** 2 * self.micro_step)))
+            n = int(math.ceil(self.depth / self.epsilon ** 2))
         if n < 1:
             raise ConfigurationError("need at least one slab")
         if n > MAX_SLABS:
@@ -188,11 +187,10 @@ class MediumSpec:
                 f"slab budget exceeded: {n} > {MAX_SLABS}; increase epsilon or "
                 "lower the depth")
         dz = self.depth / n
-        if dz > self.epsilon ** 2 * self.micro_step * (1.0 + 1e-9):
+        if dz > self.epsilon ** 2 * (1.0 + 1e-9):
             raise ConfigurationError(
                 "slab width does not resolve the micro scale: "
-                f"dz = {dz:.3e} > eps^2 * micro_step = "
-                f"{self.epsilon ** 2 * self.micro_step:.3e}")
+                f"dz = {dz:.3e} > eps^2 = {self.epsilon ** 2:.3e}")
         return n
 
 

@@ -198,13 +198,17 @@ def spectrum(real: MediumRealization, grid: FrequencyGrid, *,
     r_arr = np.zeros(n, dtype=complex)
     drift = 0.0
 
-    pos_idx = np.nonzero(need & (w >= 0.0))[0]
-    if pos_idx.size:
+    # nonnegative frequencies, plus the unpaired Nyquist entry of an even
+    # grid (it has no mirror partner), all integrated at |w|
+    idx = np.nonzero(need & (w >= 0.0))[0]
+    if n % 2 == 0 and need[n // 2]:
+        idx = np.append(idx, n // 2)
+    if idx.size:
         n_subs = np.array([_substeps(w[i], real.dz, eps_tau, max_phase)
-                           for i in pos_idx])
+                           for i in idx])
         for ns in np.unique(n_subs):
-            sel = pos_idx[n_subs == ns]
-            omegas = w[sel]
+            sel = idx[n_subs == ns]
+            omegas = np.abs(w[sel])
             alpha = np.ones(sel.size, dtype=complex)
             beta = np.zeros(sel.size, dtype=complex)
             alpha, beta = _advance_slabs(alpha, beta, omegas, real.nu_eps,
@@ -223,11 +227,6 @@ def spectrum(real: MediumRealization, grid: FrequencyGrid, *,
     neg = n - k
     t_arr[neg] = np.conj(t_arr[k])
     r_arr[neg] = np.conj(r_arr[k])
-    if n % 2 == 0 and need[n // 2]:
-        # the unpaired Nyquist entry has no mirror partner; propagate at |w|
-        st = propagate(real, abs(w[n // 2]), max_phase=max_phase)
-        t_arr[n // 2], r_arr[n // 2] = transmission(st)
-        drift = max(drift, st.det_drift)
 
     return TransmissionSpectrum(grid=grid, T=t_arr, R=r_arr, det_drift=drift,
                                 active=None if active is None else need,

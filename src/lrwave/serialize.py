@@ -70,12 +70,6 @@ def write_trajectory(path, traj) -> Path:
     return write_csv(path, ["t", "value"], [traj.t_grid, traj.values])
 
 
-def write_field_grid(path, fg) -> Path:
-    header = ["z"] + [f"m_h{h:.6f}" for h in fg.h_values]
-    cols = [fg.z_grid] + [fg.samples[:, i] for i in range(fg.h_values.size)]
-    return write_csv(path, header, cols)
-
-
 def write_medium(path, real) -> Path:
     return write_csv(path, ["z", "nu_eps"], [real.z_mid, real.nu_eps])
 
@@ -88,18 +82,6 @@ def write_spectrum(path, tspec) -> Path:
 
 def write_pulse(path, trace) -> Path:
     return write_csv(path, ["s", "value"], [trace.s_grid, trace.values])
-
-
-def field_grid_manifest(fg) -> dict:
-    return {
-        "seed": fg.meta.get("seed"),
-        "psi": fg.psi_tag,
-        "h_values": [float(h) for h in fg.h_values],
-        "grid": {"x_max": fg.grid_spec.x_max, "dx": fg.grid_spec.dx,
-                 "refine_octaves": fg.grid_spec.refine_octaves,
-                 "refine_per_octave": fg.grid_spec.refine_per_octave},
-        "column_variance": [float(v) for v in fg.column_variance],
-    }
 
 
 def medium_manifest(spec, n_profile=256) -> dict:

@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrwave import (ConfigurationError, DomainError, FrequencyGridSpec,
-                    Trajectory, asymptotic_covariance_scale, default_weight,
-                    fgn_covariance, field_covariance,
-                    increment_field_covariance, renorm_constant,
-                    renorm_constant_sq, renorm_constant_sq_quadrature,
-                    sample_field_diagonal, synthesize_fgn,
-                    synthesize_field_grid)
-from lrwave.gaussian_field import flat_weight
+                    Trajectory, asymptotic_covariance_scale, fgn_covariance,
+                    field_covariance, increment_field_covariance,
+                    renorm_constant, renorm_constant_sq,
+                    renorm_constant_sq_quadrature, sample_field_diagonal,
+                    synthesize_fgn, synthesize_field_grid)
+from lrwave import gaussian_field as gf
 
 hurst = st.floats(min_value=0.02, max_value=0.98)
 hurst_lr = st.floats(min_value=0.51, max_value=0.95)
@@ -138,18 +137,23 @@ class TestFieldGrid:
         z_score = abs(ests.mean() - target) / (ests.std(ddof=1) / np.sqrt(m))
         assert z_score < 3.0
 
-    def test_flat_weight_single_point_variance(self):
-        spec = FrequencyGridSpec(x_max=8.0, dx=0.25)
+    def test_single_point_variance(self):
+        # one depth is a trivial fold; the low cutoff keeps the discretized
+        # variance visibly below 1 (by 1.2%)
+        spec = FrequencyGridSpec(x_max=12.0, dx=0.25)
         m = 400
         vals = []
         for i in range(m):
-            fg = synthesize_field_grid([0.75], np.array([0.0]), flat_weight(),
-                                       spec, seed=(79, i))
+            fg = synthesize_field_grid([0.75], np.array([0.0]), grid_spec=spec,
+                                       seed=(79, i))
             vals.append(fg.samples[0, 0])
         var_emp = np.var(vals)
         x, w = spec.positive_nodes()
-        var_disc = 2.0 * np.sum(w * x ** (1.0 - 2 * 0.75)) / renorm_constant_sq(0.75)
-        fg = synthesize_field_grid([0.75], np.array([0.0]), flat_weight(), spec,
+        abs2 = np.sinc(x / (2.0 * np.pi)) ** 2      # |psi|^2 = sin^2(x/2)/(x/2)^2
+        var_disc = (2.0 * np.sum(w * abs2 * x ** (1.0 - 2 * 0.75))
+                    / renorm_constant_sq(0.75))
+        assert abs(var_disc - 1.0) > 0.005
+        fg = synthesize_field_grid([0.75], np.array([0.0]), grid_spec=spec,
                                    seed=0)
         assert fg.column_variance[0] == pytest.approx(var_disc, rel=1e-12)
         assert var_emp == pytest.approx(var_disc, rel=0.3)
@@ -158,6 +162,40 @@ class TestFieldGrid:
         spec = FrequencyGridSpec(x_max=64.0, dx=1.0)
         with pytest.raises(ConfigurationError, match="alias"):
             synthesize_field_grid([0.75], np.arange(512.0), grid_spec=spec)
+
+    def test_noncommensurate_grid_spec_rejected(self):
+        # dz * dx = 0.0026 is not 2*pi over an integer
+        spec = FrequencyGridSpec(x_max=64.0, dx=0.0026)
+        with pytest.raises(ConfigurationError, match="commensurate"):
+            synthesize_field_grid([0.75], np.arange(512.0), grid_spec=spec)
+
+    def test_default_grid_is_commensurate(self):
+        # micro grid of a medium at eps = 0.03: 1/eps^2 is not an integer
+        n = 1112
+        z = (np.arange(n) + 0.5) / n / 0.03 ** 2
+        spec = FrequencyGridSpec.for_grid(z)
+        ratio = 2.0 * np.pi / ((z[1] - z[0]) * spec.dx)
+        assert ratio == pytest.approx(round(ratio), abs=1e-9)
+        assert round(ratio) >= 4 * n
+        # where the span-based spacing is commensurate it is kept
+        assert FrequencyGridSpec.for_grid(np.arange(100.0)).dx == 2 * np.pi / 400
+
+    def test_fold_matches_direct_sum_on_noninteger_grid(self):
+        n, h, seed = 1112, 0.6, 11
+        z = (np.arange(n) + 0.5) / n / 0.03 ** 2       # spacing 0.9992
+        fg = synthesize_field_grid([h], z, seed=seed)
+        spec = fg.grid_spec
+        # the same spectral sum in float64, from the same noise draw
+        x, w = spec.positive_nodes()
+        g = np.random.default_rng(seed).standard_normal(2 * x.size)
+        noise = (g[:x.size] + 1j * g[x.size:]) * np.sqrt(0.5 * w)
+        psi = (1.0 - np.exp(-1j * x)) / (1j * x)
+        c = noise * psi * x ** (0.5 - h) / renorm_constant(h)
+        # most of the difference (1.3e-5) is a constant phase exp(-i z_0 x)
+        # that the synthesizer gives the refined nodes
+        rows = np.array([0, 1, 371, 800, n - 1])
+        direct = 2.0 * (np.exp(-1j * np.outer(z[rows], x)) @ c).real
+        assert np.max(np.abs(fg.samples[rows, 0] - direct)) < 1e-4
 
 
 class TestFieldCovariance:
@@ -224,27 +262,14 @@ class TestFieldDiagonal:
 
 class TestSpectralWeight:
     def test_default_weight_valid(self):
-        from lrwave.gaussian_field import SpectralWeight, check_weight
-        c = check_weight(default_weight())
-        assert c <= 2.0 + 1e-6      # |1 - exp(-ix)| <= 2
-
-    def test_hermitian_symmetry_required(self):
-        from lrwave.gaussian_field import SpectralWeight, check_weight
-        asym = SpectralWeight(lambda x: np.exp(1j * np.abs(x)), tag="asym")
-        with pytest.raises(ConfigurationError, match="Hermitian"):
-            check_weight(asym)
-
-    def test_decay_bound_enforced(self):
-        from lrwave.gaussian_field import check_weight
-        with pytest.raises(ConfigurationError, match="decay"):
-            check_weight(flat_weight(), decay_constant=1.0)
-
-    def test_unit_at_zero_required(self):
-        from lrwave.gaussian_field import SpectralWeight, check_weight
-        halved = SpectralWeight(lambda x: 0.5 * default_weight()(x),
-                                tag="halved")
-        with pytest.raises(ConfigurationError, match="psi\\(0\\)"):
-            check_weight(halved)
+        # the increment weight: psi(0) = 1, Hermitian, |psi(x)| <= 2/|x|
+        x = np.linspace(1e-9, 200.0, 512)
+        psi = gf._increment_weight(x)
+        assert gf._increment_weight(np.array([0.0]))[0] == 1.0
+        assert np.allclose(gf._increment_weight(-x), np.conj(psi),
+                           rtol=1e-9, atol=1e-12)
+        tail = x >= 1.0
+        assert np.all(np.abs(psi[tail]) * x[tail] <= 2.0 + 1e-6)
 
 
 class TestTrajectory:

@@ -94,6 +94,16 @@ class TestSpectrum:
         assert np.array_equal(masked.T[masked.active], full.T[masked.active])
         assert np.allclose(masked.T[~masked.active], 1.0)
 
+    def test_nyquist_entry_matches_propagate(self, medium):
+        # the unpaired Nyquist entry shares its sub-step bin with other
+        # frequencies and must come out as a one-frequency propagation
+        grid = FrequencyGrid.for_window(128, 0.125)
+        nyq = grid.n // 2
+        t, r = transmission(propagate(medium, abs(grid.omegas[nyq])))
+        for active in (None, np.abs(grid.omegas) > 20.0):
+            sp = spectrum(medium, grid, active=active)
+            assert sp.T[nyq] == t and sp.R[nyq] == r
+
     def test_bad_mask_shape(self, medium):
         grid = FrequencyGrid.for_window(128, 0.125)
         with pytest.raises(ConfigurationError):

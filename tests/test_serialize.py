@@ -3,10 +3,8 @@ import json
 import numpy as np
 
 from lrwave import (MediumSpec, build_medium, constant_profile,
-                    dyadic_p_variation, hurst_estimate, synthesize_fgn,
-                    synthesize_field_grid)
-from lrwave.serialize import (field_grid_manifest, medium_manifest, read_csv,
-                              write_field_grid, write_medium,
+                    dyadic_p_variation, hurst_estimate, synthesize_fgn)
+from lrwave.serialize import (medium_manifest, read_csv, write_medium,
                               write_trajectory)
 
 
@@ -17,18 +15,6 @@ def test_trajectory_roundtrip(tmp_path):
     assert header == ["t", "value"]
     assert np.array_equal(data[:, 0], tr.t_grid)
     assert np.array_equal(data[:, 1], tr.values)
-
-
-def test_field_grid_roundtrip(tmp_path):
-    fg = synthesize_field_grid([0.6, 0.8], np.arange(64.0), seed=2)
-    path = write_field_grid(tmp_path / "fg.csv", fg)
-    header, data = read_csv(path)
-    assert header == ["z", "m_h0.600000", "m_h0.800000"]
-    assert np.array_equal(data[:, 1], fg.samples[:, 0])
-    manifest = field_grid_manifest(fg)
-    assert manifest["psi"] == "increment"
-    assert manifest["h_values"] == [0.6, 0.8]
-    json.dumps(manifest)     # JSON-able
 
 
 def test_medium_roundtrip_and_manifest(tmp_path):
