@@ -2,6 +2,8 @@
 
 Used by the covariance oracles: power-law kernels are integrable but stiff
 near their singular point, so panels are graded geometrically toward it.
+Both helpers also take a batch of segments, one row each, so that many
+inner integrals are laid out in one array pass.
 """
 from __future__ import annotations
 
@@ -19,23 +21,25 @@ def _gl_nodes(npts: int):
 def panel_nodes(edges, npts=16):
     """Nodes and weights for Gauss-Legendre on consecutive panels.
 
-    ``edges`` is an increasing 1-d array of panel boundaries; returns flat
-    arrays covering all panels.
+    ``edges`` holds increasing panel boundaries along its last axis: one
+    1-d array, or one row per segment.  Returns flat arrays covering all
+    panels, row by row.
     """
     edges = np.asarray(edges, dtype=float)
     x, w = _gl_nodes(npts)
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
+    a = edges[..., :-1, None]
+    b = edges[..., 1:, None]
     half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b) + half * x[None, :]).ravel()
-    weights = (half * w[None, :]).ravel()
+    nodes = (0.5 * (a + b) + half * x).ravel()
+    weights = (half * w).ravel()
     return nodes, weights
 
 
-def integrate_panels(f, edges, npts=16):
-    """Integrate a vectorized callable over graded panels."""
-    nodes, weights = panel_nodes(edges, npts)
-    return float(np.dot(weights, f(nodes)))
+def panel_count(min_frac, *, ratio=2.0, max_panels=64):
+    """Number of panels :func:`geometric_edges` lays on an interval graded
+    down to ``min_frac`` of its length; accepts arrays."""
+    n = np.ceil(np.log(1.0 / np.asarray(min_frac, dtype=float)) / np.log(ratio))
+    return np.clip(n, 2, max_panels).astype(int)
 
 
 def geometric_edges(a, b, *, toward="left", ratio=2.0, min_frac=1e-13, max_panels=64):
@@ -44,20 +48,32 @@ def geometric_edges(a, b, *, toward="left", ratio=2.0, min_frac=1e-13, max_panel
     The panel adjacent to the graded end has length ~ ``min_frac * (b - a)``
     so that endpoint algebraic singularities of the integrand's derivatives
     are resolved without adaptive refinement.
+
+    Scalar ``a`` and ``b`` give one 1-d array of edges.  1-d arrays of ``a``,
+    ``b`` (and ``min_frac``) give one row of edges per segment, each row
+    equal to the scalar call on that segment; all rows must need the same
+    :func:`panel_count`.
     """
-    if not b > a:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not np.all(b > a):
         raise ValueError("empty interval")
-    length = b - a
     if toward == "both":
         mid = 0.5 * (a + b)
         left = geometric_edges(a, mid, toward="left", ratio=ratio,
                                min_frac=min_frac, max_panels=max_panels)
         right = geometric_edges(mid, b, toward="right", ratio=ratio,
                                 min_frac=min_frac, max_panels=max_panels)
-        return np.concatenate([left[:-1], right])
-    n = min(max_panels, max(2, int(np.ceil(np.log(1.0 / min_frac) / np.log(ratio)))))
-    t = ratio ** np.arange(n + 1, dtype=float)
+        return np.concatenate([left[..., :-1], right], axis=-1)
+    counts = np.unique(panel_count(min_frac, ratio=ratio, max_panels=max_panels))
+    if counts.size != 1:
+        raise ValueError("segments need different panel counts; batch them "
+                         "by panel_count")
+    t = ratio ** np.arange(int(counts[0]) + 1, dtype=float)
     t = (t - 1.0) / (t[-1] - 1.0)
+    a = a[..., None]
+    b = b[..., None]
+    length = b - a
     if toward == "left":
         return a + length * t
     if toward == "right":

@@ -1,9 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lrwave import (DomainError, LimitSpec, hermite_covariance, sh_covariance,
+from lrwave import (DomainError, LimitSpec, asymptotic_covariance_scale,
+                    hermite_covariance, profile_from_config, sh_covariance,
                     simulate, simulate_hermite, simulate_sh,
                     simulate_sh_hermite)
+from lrwave.quadrature import geometric_edges, panel_nodes
+
+FIGURES = Path(__file__).resolve().parents[1] / "configs" / "figures.json"
 
 
 def mc_cov(paths, i, j):
@@ -157,6 +164,90 @@ class TestShCovariance:
             sh_covariance(0.7, -1.0, 1.0)
         with pytest.raises(DomainError):
             sh_covariance(0.3, 1.0, 1.0)
+
+
+def _reference_inner(u1, z2, h_prof, j1_sq, band, npts=12):
+    """Inner integral at one outer node, one scalar node at a time: the
+    quadrature rule of sh_covariance written as a per-node loop."""
+    h1 = float(h_prof(np.asarray(u1)))
+    total = 0.0
+    if u1 < z2:
+        d_left = min(band, u1)
+        d_right = min(band, z2 - u1)
+        r11 = j1_sq * asymptotic_covariance_scale(h1, h1)
+        total += r11 * (d_left ** (2 * h1 - 1) + d_right ** (2 * h1 - 1)) / (2 * h1 - 1)
+        segments = []
+        if u1 - d_left > 0:
+            segments.append((0.0, u1 - d_left, "right"))
+        if u1 + d_right < z2:
+            segments.append((u1 + d_right, z2, "left"))
+    else:
+        segments = [(0.0, z2, "right")] if z2 > 0 else []
+    for a, b, toward in segments:
+        frac = min(0.25, max(1e-7, 0.5 * band / (b - a)))
+        edges = geometric_edges(a, b, toward=toward, min_frac=frac)
+        nodes, weights = panel_nodes(edges, npts)
+        h2 = np.asarray(h_prof(nodes), dtype=float)
+        scale = j1_sq * asymptotic_covariance_scale(np.full_like(h2, h1), h2)
+        vals = scale * np.abs(u1 - nodes) ** (h1 + h2 - 2.0)
+        total += float(np.dot(weights, vals))
+    return total
+
+
+def _reference_sh_covariance(h_profile, z1, z2, *, j1=1.0, band=1e-3, npts=16):
+    if callable(h_profile):
+        prof = h_profile
+    else:
+        prof = lambda u: np.full_like(np.asarray(u, dtype=float), float(h_profile))
+    delta = band * max(z1, z2)
+    breakpoints = [0.0, z1] if z2 >= z1 else [0.0, z2, z1]
+    outer_edges = []
+    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
+        seg = geometric_edges(a, b, toward="both", min_frac=1e-9)
+        outer_edges.append(seg if not outer_edges else seg[1:])
+    nodes, weights = panel_nodes(np.concatenate(outer_edges), npts)
+    inner = np.array([_reference_inner(float(u), z2, prof, float(j1) ** 2, delta)
+                      for u in nodes])
+    return float(np.dot(weights, inner))
+
+
+def _figure_profiles():
+    cfg = json.loads(FIGURES.read_text())
+    return [profile_from_config(p) for p in cfg["limits"]["profiles"]]
+
+
+class TestShCovarianceRule:
+    """The batched oracle against the per-node loop it replaced."""
+
+    @pytest.mark.parametrize("j", [0, 1])
+    @pytest.mark.parametrize("z1,z2,j1", [(0.3, 0.8, 1.0), (0.8, 0.3, 1.0),
+                                          (0.6, 0.6, 1.0), (1.0, 0.5, 3.0)])
+    def test_matches_per_node_rule(self, j, z1, z2, j1):
+        prof = _figure_profiles()[j]
+        assert sh_covariance(prof, z1, z2, j1=j1) == pytest.approx(
+            _reference_sh_covariance(prof, z1, z2, j1=j1), rel=1e-12)
+
+    def test_constant_float_index(self):
+        assert sh_covariance(0.7, 0.75, 0.25) == pytest.approx(
+            _reference_sh_covariance(0.7, 0.75, 0.25), rel=1e-12)
+
+    def test_scalar_valued_profile(self):
+        assert sh_covariance(lambda u: 0.7, 1.0, 0.5) == pytest.approx(
+            sh_covariance(0.7, 1.0, 0.5), rel=1e-12)
+
+    def test_profile_leaving_at_check_samples(self):
+        with pytest.raises(DomainError):
+            sh_covariance(lambda u: 0.45 + 0.5 * np.asarray(u), 1.0, 1.0)
+
+    def test_profile_leaving_between_check_samples(self):
+        # the 65 check samples sit at k/64 and miss (0.501, 0.5146)
+        def prof(u):
+            u = np.asarray(u)
+            return np.where((u > 0.501) & (u < 0.5146), 0.45, 0.7)
+        check = np.linspace(0.0, 1.0, 65)
+        assert np.all(prof(check) == 0.7)
+        with pytest.raises(DomainError):
+            sh_covariance(prof, 1.0, 1.0)
 
 
 class TestLimitSpec:
