@@ -41,14 +41,22 @@ def _source_band(source, tol=1e-16):
     return power > tol * power.max()
 
 
-def _propagate_record(epsilon, index, real, tspec, source, trace):
-    from .medium import v_triple
-    from .pulse import PulseTrace, pulse_distance, pulse_width
+def _realization(cfg, epsilon, index, source):
+    """Medium -> spectrum over the source band -> transmitted pulse for one
+    realization; returns (spectrum, pulse, record)."""
+    from .medium import build_medium, v_triple
+    from .propagator import spectrum
+    from .pulse import (PulseTrace, pulse_distance, pulse_width,
+                        transmitted_pulse)
 
+    real = build_medium(cfg.medium.to_spec(seed=(cfg.seed, index),
+                                           epsilon=epsilon))
+    tspec = spectrum(real, source.grid, active=_source_band(source))
+    trace = transmitted_pulse(tspec, source)
     ref = PulseTrace(s_grid=source.s_grid, values=source.values)
     dist = pulse_distance(ref, trace)
     v1 = v_triple(real, 0.0).v1
-    return {
+    record = {
         "epsilon": float(epsilon),
         "index": int(index),
         "l2": dist.l2,
@@ -60,21 +68,12 @@ def _propagate_record(epsilon, index, real, tspec, source, trace):
                         / pulse_width(ref, lobe_floor=0.02)),
         "conservation_defect": tspec.conservation_defect(),
     }
+    return tspec, trace, record
 
 
 def _propagate_one(args):
-    from .medium import build_medium
-    from .propagator import FrequencyGrid, spectrum
-    from .pulse import transmitted_pulse
-
     cfg, epsilon, index = args
-    real = build_medium(cfg.medium.to_spec(seed=(cfg.seed, index),
-                                           epsilon=epsilon))
-    source = cfg.source.build()
-    grid = FrequencyGrid(source.grid.omegas)
-    tspec = spectrum(real, grid, active=_source_band(source))
-    trace = transmitted_pulse(tspec, source)
-    return _propagate_record(epsilon, index, real, tspec, source, trace)
+    return _realization(cfg, epsilon, index, cfg.source.build())[2]
 
 
 def _map_indexed(fn, items, jobs):
@@ -102,25 +101,17 @@ def _run_synth(cfg: ExperimentConfig, out, artifacts):
 
 
 def _run_propagate(cfg: ExperimentConfig, out, artifacts):
-    from .medium import build_medium
-    from .propagator import FrequencyGrid, spectrum
-    from .pulse import reflected_pulse, transmitted_pulse
+    from .pulse import reflected_pulse
 
     source = cfg.source.build()
-    grid = FrequencyGrid(source.grid.omegas)
-    band = _source_band(source)
     records = []
     for i in range(cfg.ensemble.n_realizations):
-        spec = cfg.medium.to_spec(seed=(cfg.seed, i))
-        real = build_medium(spec)
-        tspec = spectrum(real, grid, active=band)
-        trace = transmitted_pulse(tspec, source)
+        tspec, trace, record = _realization(cfg, cfg.medium.epsilon, i, source)
         artifacts.append(write_spectrum(out / f"spectrum_{i:04d}.csv", tspec))
         artifacts.append(write_pulse(out / f"transmitted_{i:04d}.csv", trace))
         artifacts.append(write_pulse(out / f"reflected_{i:04d}.csv",
                                      reflected_pulse(tspec, source)))
-        records.append(_propagate_record(cfg.medium.epsilon, i, real,
-                                         tspec, source, trace))
+        records.append(record)
     artifacts.append(write_json(out / "records.json", records))
     return {"realizations": cfg.ensemble.n_realizations}
 

@@ -8,12 +8,14 @@ dz and frozen midpoint phase phi = 2 w z_mid / eps^tau,
                                                           [e^{i phi}, -1]],
 
 and M(phi)^2 = 0, so P_step is the exact exponential of its generator and
-det P_step = 1 identically.  Only the matrix entries (alpha, beta) are
-tracked; the lower row is their conjugate mirror.
+det P_step = 1 identically.  Each step has the SU(1,1) form [[a, conj(b)],
+[b, conj(a)]], a = 1 + c, b = c e^{i phi}, c = i w nu dz / 2, and so does
+every product, so only its first column (alpha, beta) is tracked.
 
-Per-frequency computations are independent: the spectrum routine maps over
-frequencies with no shared state, mirroring negative frequencies by
-conjugation (the medium is real).
+The product is associative: one kernel, shared by ``propagate`` and
+``spectrum``, reduces fixed-size blocks of steps as pairwise trees over a
+steps x frequencies array and applies the blocks in depth order.  Negative
+frequencies in a spectrum mirror by conjugation (the medium is real).
 """
 from __future__ import annotations
 
@@ -35,6 +37,9 @@ __all__ = [
 ]
 
 MAX_PHASE_STEP = np.pi / 8.0
+# steps per tree-reduced block; fixed, so that a frequency's result does not
+# depend on which other frequencies share its sub-step bin
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,7 @@ class PropagatorState:
 
     @property
     def det_drift(self) -> float:
-        defect = abs(abs(self.alpha) ** 2 - abs(self.beta) ** 2 - 1.0)
-        return defect / max(1.0, abs(self.alpha) ** 2)
+        return float(_drift(self.alpha, self.beta))
 
 
 @dataclass(frozen=True)
@@ -104,74 +108,77 @@ class TransmissionSpectrum:
                                    + np.abs(self.R[mask]) ** 2 - 1.0)))
 
 
-def _substeps(omega, dz, eps_tau, max_phase=MAX_PHASE_STEP):
-    return max(1, int(math.ceil(abs(omega) * dz / (eps_tau * max_phase))))
+def _substeps(omega, dz, eps_tau):
+    return max(1, int(math.ceil(abs(omega) * dz / (eps_tau * MAX_PHASE_STEP))))
 
 
-def _advance_slabs(alpha, beta, omegas, nu, z_left, dz, eps_tau, n_sub):
-    """Advance all frequencies in one n_sub bin through every slab.
+def _drift(alpha, beta):
+    """Relative determinant defect, as defined on ``PropagatorState``."""
+    a2 = np.abs(alpha) ** 2
+    return np.abs(a2 - np.abs(beta) ** 2 - 1.0) / np.maximum(1.0, a2)
 
-    Phases for a block of steps are precomputed in one vectorized call; the
-    step recursion itself is sequential by nature.
+
+def _slab_product(omegas, nu, z_left, dz, eps_tau, n_sub):
+    """(alpha, beta, drift) of the product of every sub-step matrix, all
+    frequencies in one n_sub bin at once; raises ``StateError`` on a
+    corrupted product.
+
+    A block of ``_BLOCK`` steps is reduced as a pairwise tree, the later
+    step on the left; the blocks then act on the state in depth order.
     """
     sub = dz / n_sub
     offs = (np.arange(n_sub) + 0.5) * sub
-    z_mid = (z_left[:, None] + offs[None, :]).ravel()
-    nu_rep = np.repeat(nu, n_sub) if n_sub > 1 else nu
+    scaled = 2.0 * (z_left[:, None] + offs[None, :]).ravel() / eps_tau
+    nu_rep = np.repeat(nu, n_sub)
     half_c = 0.5j * sub * omegas
-    scaled = 2.0 * z_mid / eps_tau
-    for lo in range(0, z_mid.size, 1024):
-        hi = min(lo + 1024, z_mid.size)
-        phases = np.exp(1j * np.outer(scaled[lo:hi], omegas))
-        for r in range(hi - lo):
-            c = half_c * nu_rep[lo + r]
-            ph = phases[r]
-            a_new = (1.0 + c) * alpha - (c * np.conj(ph)) * beta
-            beta = (c * ph) * alpha + (1.0 - c) * beta
-            alpha = a_new
-    return alpha, beta
+    alpha, beta = np.ones(omegas.size, complex), np.zeros(omegas.size, complex)
+    for lo in range(0, scaled.size, _BLOCK):
+        c = np.outer(nu_rep[lo:lo + _BLOCK], half_c)
+        a = 1.0 + c
+        b = c * np.exp(1j * np.outer(scaled[lo:lo + _BLOCK], omegas))
+        while a.shape[0] > 1:
+            if a.shape[0] % 2:  # pad with the identity step
+                a = np.concatenate([a, np.ones_like(a[:1])])
+                b = np.concatenate([b, np.zeros_like(b[:1])])
+            a, b = (a[1::2] * a[::2] + np.conj(b[1::2]) * b[::2],
+                    b[1::2] * a[::2] + np.conj(a[1::2]) * b[::2])
+        alpha, beta = (a[0] * alpha + np.conj(b[0]) * beta,
+                       b[0] * alpha + np.conj(a[0]) * beta)
+    drift = float(np.max(_drift(alpha, beta)))
+    if not (np.all(np.abs(alpha) >= 1.0 - 1e-9) and drift <= 1e-6):
+        raise StateError(f"corrupted propagator product: |alpha| < 1 or "
+                         f"determinant drift {drift:.2e} exceeds 1e-6")
+    return alpha, beta, drift
 
 
-def propagate(real: MediumRealization, omega, *,
-              max_phase=MAX_PHASE_STEP) -> PropagatorState:
+def propagate(real: MediumRealization, omega) -> PropagatorState:
     """Propagate one frequency from the surface to the bottom of the medium.
 
-    Sub-steps keep the phase increment per step at or below ``max_phase``;
-    each step is the exact exponential of its frozen-phase generator, so the
-    determinant is conserved identically and drift is pure float roundoff.
+    Sub-steps keep the phase increment per step at or below
+    ``MAX_PHASE_STEP``; each step is the exact exponential of its
+    frozen-phase generator, so the determinant is conserved identically and
+    drift is pure float roundoff.
     """
     omega = float(omega)
     eps_tau = real.epsilon ** real.tau
-    n_sub = _substeps(omega, real.dz, eps_tau, max_phase)
-    alpha = np.array([1.0 + 0.0j])
-    beta = np.array([0.0 + 0.0j])
-    alpha, beta = _advance_slabs(alpha, beta, np.array([omega]), real.nu_eps,
-                                 real.z_grid[:-1], real.dz, eps_tau, n_sub)
-    state = PropagatorState(alpha=complex(alpha[0]), beta=complex(beta[0]),
-                            z=real.depth, omega=omega)
-    if state.det_drift > 1e-6:
-        raise StateError(
-            f"determinant drift {state.det_drift:.2e} exceeds 1e-6; "
-            "reduce the sub-step phase bound")
-    return state
+    alpha, beta, _ = _slab_product(
+        np.array([omega]), real.nu_eps, real.z_grid[:-1], real.dz, eps_tau,
+        _substeps(omega, real.dz, eps_tau))
+    return PropagatorState(alpha=complex(alpha[0]), beta=complex(beta[0]),
+                           z=real.depth, omega=omega)
 
 
 def transmission(state: PropagatorState):
     """(T, R) = (1/conj(alpha), beta/conj(alpha)); |T|^2 + |R|^2 = 1."""
-    alpha = np.asarray(state.alpha)
-    if np.any(np.abs(alpha) < 1.0 - 1e-9):
+    if abs(state.alpha) < 1.0 - 1e-9:
         raise StateError(
             "corrupted propagator state: |alpha| < 1 violates conservation")
-    t = 1.0 / np.conj(alpha)
-    r = np.asarray(state.beta) / np.conj(alpha)
-    if np.ndim(state.alpha) == 0:
-        return complex(t), complex(r)
-    return t, r
+    conj_alpha = np.conj(np.complex128(state.alpha))
+    return complex(1.0 / conj_alpha), complex(state.beta / conj_alpha)
 
 
 def spectrum(real: MediumRealization, grid: FrequencyGrid, *,
-             active: np.ndarray | None = None,
-             max_phase=MAX_PHASE_STEP) -> TransmissionSpectrum:
+             active: np.ndarray | None = None) -> TransmissionSpectrum:
     """Transmission/reflection over a Hermitian grid for one realization.
 
     Only nonnegative frequencies are integrated; negative ones mirror by
@@ -204,21 +211,13 @@ def spectrum(real: MediumRealization, grid: FrequencyGrid, *,
     if n % 2 == 0 and need[n // 2]:
         idx = np.append(idx, n // 2)
     if idx.size:
-        n_subs = np.array([_substeps(w[i], real.dz, eps_tau, max_phase)
-                           for i in idx])
+        n_subs = np.array([_substeps(w[i], real.dz, eps_tau) for i in idx])
         for ns in np.unique(n_subs):
             sel = idx[n_subs == ns]
-            omegas = np.abs(w[sel])
-            alpha = np.ones(sel.size, dtype=complex)
-            beta = np.zeros(sel.size, dtype=complex)
-            alpha, beta = _advance_slabs(alpha, beta, omegas, real.nu_eps,
-                                         real.z_grid[:-1], real.dz, eps_tau,
-                                         int(ns))
-            defect = (np.abs(np.abs(alpha) ** 2 - np.abs(beta) ** 2 - 1.0)
-                      / np.maximum(1.0, np.abs(alpha) ** 2))
-            drift = max(drift, float(defect.max()))
-            if np.any(np.abs(alpha) < 1.0 - 1e-9):
-                raise StateError("corrupted propagator state: |alpha| < 1")
+            alpha, beta, bin_drift = _slab_product(
+                np.abs(w[sel]), real.nu_eps, real.z_grid[:-1], real.dz,
+                eps_tau, int(ns))
+            drift = max(drift, bin_drift)
             t_arr[sel] = 1.0 / np.conj(alpha)
             r_arr[sel] = beta / np.conj(alpha)
 

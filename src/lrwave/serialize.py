@@ -25,10 +25,10 @@ def write_csv(path, header, columns) -> Path:
     n = cols[0].size
     if any(c.size != n for c in cols):
         raise ValueError("csv columns differ in length")
+    row = ",".join(["%.17g"] * len(cols)) + "\n"   # fmt() for each column
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        for i in range(n):
-            f.write(",".join(fmt(c[i]) for c in cols) + "\n")
+        f.writelines(row % r for r in zip(*(c.tolist() for c in cols)))
     return path
 
 

@@ -172,5 +172,19 @@ class TestSerialize:
         _, data = read_csv(path)
         assert np.array_equal(data[:, 0], values)
 
+    def test_rows_match_per_element_fmt(self, tmp_path):
+        edge = np.array([-0.0, 0.0, 1e-300, 5e-324, 1.2e17, np.nan, np.inf,
+                         -np.inf, np.pi])
+        noise = np.random.default_rng(5).standard_normal(4096)
+        cols = [np.concatenate([edge, noise]) * s for s in (1.0, -1.0, 1e-200)]
+        n = cols[0].size
+        cols += [np.arange(n) - 7, np.arange(n, dtype=np.int32) * 1001,
+                 cols[0].astype(np.float32)]
+        header = ["a", "b", "c", "d", "e", "f"]
+        path = write_csv(tmp_path / "x.csv", header, cols)
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(fmt(c[i]) for c in cols) + "\n" for i in range(n))
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_fmt_is_shortest_exact(self):
         assert float(fmt(np.pi)) == np.pi

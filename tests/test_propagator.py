@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from lrwave import (ConfigurationError, FrequencyGrid, MediumSpec, StateError,
                     build_medium, constant_profile, propagate, spectrum,
                     transmission, v_triple)
-from lrwave.propagator import PropagatorState
+from lrwave.propagator import (_BLOCK, PropagatorState, _slab_product,
+                               _substeps)
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +21,31 @@ def medium():
 def one_slab(medium, nu, length):
     return replace(medium, z_grid=np.array([0.0, length]),
                    nu_eps=np.array([float(nu)]))
+
+
+def n_slabs(medium, n):
+    """The medium's slab values repeated over n slabs of the same width."""
+    return replace(medium, z_grid=medium.dz * np.arange(n + 1),
+                   nu_eps=np.resize(medium.nu_eps, n))
+
+
+def sequential_product(omegas, nu, z_left, dz, eps_tau, n_sub):
+    """Reference: (alpha, beta) advanced one frozen-phase step at a time,
+    the recursion the block-tree kernel replaces."""
+    sub = dz / n_sub
+    z_mid = (z_left[:, None] + (np.arange(n_sub) + 0.5) * sub).ravel()
+    alpha = np.ones(omegas.size, dtype=complex)
+    beta = np.zeros(omegas.size, dtype=complex)
+    for z, nu_k in zip(z_mid, np.repeat(nu, n_sub)):
+        c = 0.5j * sub * omegas * nu_k
+        ph = np.exp(1j * (2.0 * z / eps_tau) * omegas)
+        alpha, beta = ((1.0 + c) * alpha - (c * np.conj(ph)) * beta,
+                       (c * ph) * alpha + (1.0 - c) * beta)
+    return alpha, beta
+
+
+def t_and_r(alpha, beta):
+    return 1.0 / np.conj(alpha), beta / np.conj(alpha)
 
 
 class TestPropagate:
@@ -125,3 +151,66 @@ class TestSpectrum:
             v1_half.append(v_triple(real, 0.0).v1.values[-1])
         corr = np.corrcoef(shifts, v1_half)[0, 1]
         assert corr > 0.95
+
+
+class TestSlabProduct:
+    """The block-tree kernel against the sequential step recursion."""
+
+    @pytest.mark.parametrize("n_sub", [1, 4])
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   2 * _BLOCK + 3])
+    def test_matches_sequential_recursion(self, medium, n, n_sub):
+        real = n_slabs(medium, n)
+        eps_tau = real.epsilon ** real.tau
+        omegas = np.array([0.0, 0.5, 1.7, 3.9]) * n_sub
+        args = (omegas, real.nu_eps, real.z_grid[:-1], real.dz, eps_tau, n_sub)
+        alpha, beta, drift = _slab_product(*args)
+        t, r = t_and_r(alpha, beta)
+        t_ref, r_ref = t_and_r(*sequential_product(*args))
+        assert np.max(np.abs(t - t_ref)) < 1e-10
+        assert np.max(np.abs(r - r_ref)) < 1e-10
+        assert drift < 1e-12
+
+    def test_spectrum_bins_match_sequential_recursion(self, medium):
+        real = n_slabs(medium, 2 * _BLOCK + 3)
+        eps_tau = real.epsilon ** real.tau
+        grid = FrequencyGrid.for_window(128, 0.125)
+        sp = spectrum(real, grid)
+        pos = np.nonzero(grid.omegas >= 0.0)[0]
+        bins = np.array([_substeps(w, real.dz, eps_tau)
+                         for w in grid.omegas[pos]])
+        assert np.unique(bins).size >= 5
+        for ns in np.unique(bins):
+            sel = pos[bins == ns]
+            t_ref, r_ref = t_and_r(*sequential_product(
+                grid.omegas[sel], real.nu_eps, real.z_grid[:-1], real.dz,
+                eps_tau, int(ns)))
+            assert np.max(np.abs(sp.T[sel] - t_ref)) < 1e-10
+            assert np.max(np.abs(sp.R[sel] - r_ref)) < 1e-10
+
+    @pytest.mark.parametrize("w", [-0.3, -2.5, -7.0])
+    def test_negative_frequency_matches_sequential_recursion(self, medium, w):
+        real = n_slabs(medium, _BLOCK + 1)
+        eps_tau = real.epsilon ** real.tau
+        t, r = transmission(propagate(real, w))
+        t_ref, r_ref = t_and_r(*sequential_product(
+            np.array([w]), real.nu_eps, real.z_grid[:-1], real.dz, eps_tau,
+            _substeps(w, real.dz, eps_tau)))
+        assert abs(t - t_ref[0]) < 1e-10 and abs(r - r_ref[0]) < 1e-10
+
+    def test_entry_alone_equals_entry_in_bin(self, medium):
+        # a frequency's bits do not depend on which others share its bin
+        real = n_slabs(medium, _BLOCK + 1)
+        grid = FrequencyGrid.for_window(128, 0.125)
+        sp = spectrum(real, grid)
+        for k in range(grid.n // 2 + 1):
+            t, r = transmission(propagate(real, abs(grid.omegas[k])))
+            assert sp.T[k] == t and sp.R[k] == r
+
+    def test_corrupted_product_raises(self, medium):
+        bad = replace(medium, nu_eps=np.where(
+            np.arange(medium.n_slabs) == 7, np.nan, medium.nu_eps))
+        with pytest.raises(StateError):
+            spectrum(bad, FrequencyGrid.for_window(128, 0.125))
+        with pytest.raises(StateError):
+            propagate(bad, 1.0)
