@@ -18,20 +18,18 @@ from .gaussian_field import (FieldGrid, FrequencyGridSpec, Trajectory,
                              sample_field_diagonal, synthesize_fgn,
                              synthesize_field_grid)
 from .hermite import (HermiteSpec, Truncation, composed_covariance,
-                      hermite_coeffs, hermite_poly, transform_path, truncation)
+                      hermite_coeffs, hermite_poly, truncation)
 from .limits import (LimitSpec, hermite_covariance, sh_covariance, simulate,
                      simulate_hermite, simulate_sh, simulate_sh_hermite)
 from .medium import (A2Report, A3Report, MediumRealization, MediumSpec,
                      VTriple, build_medium, check_a2, check_a3,
                      constant_profile, linear_profile, periodic_profile,
-                     permuted_copy, profile_from_config, v_triple,
-                     white_medium)
+                     profile_from_config, v_triple, white_medium)
 from .propagator import (FrequencyGrid, PropagatorState, TransmissionSpectrum,
                          propagate, spectrum, transmission)
 from .pulse import (PulseDistance, PulseTrace, SourcePulse, gaussian_source,
                     pulse_distance, pulse_width, reflected_pulse,
-                    ricker_source, table_source, theory_longrange,
-                    theory_shortrange, transmitted_pulse)
-from .stats import (CovarianceTable, EstimateWithCI, PVariationReport,
-                    dyadic_p_variation, empirical_cov, hurst_estimate,
-                    local_hurst, mc_aggregate)
+                    ricker_source, theory_longrange, theory_shortrange,
+                    transmitted_pulse)
+from .stats import (EstimateWithCI, PVariationReport, dyadic_p_variation,
+                    hurst_estimate, local_hurst, mc_aggregate)

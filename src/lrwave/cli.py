@@ -6,7 +6,7 @@ synth      sample media, write CSV + manifest
 propagate  media -> spectra -> window-frame pulses + per-realization records
 sweep      ensembles across epsilon: pulse-law summaries per cell
 limits     trajectory CSVs of the limiting processes for external plotting
-verify     run every module's fast invariant suite; nonzero exit on failure
+verify     run the invariant table of `lrwave.verify`; exit 2 on failure
 
 Seeds derive from (base_seed, realization_index), so ensembles are
 reproducible under any parallel schedule; artifacts are written by a single
@@ -28,8 +28,9 @@ from .errors import ConfigurationError, DomainError
 from .serialize import (artifact_entry, medium_manifest, write_json,
                         write_medium, write_pulse, write_spectrum,
                         write_trajectory)
+from .verify import run_verify_suites
 
-__all__ = ["run", "emit_figure_data", "run_verify_suites", "main"]
+__all__ = ["run", "emit_figure_data", "main"]
 
 
 # --------------------------------------------------------------------------
@@ -178,240 +179,6 @@ def emit_figure_data(cfg: ExperimentConfig, out, artifacts):
                     ["z1", "z2", "cov"], [z1, z2, cov]))
             count += 1
     return {"trajectories": count}
-
-
-# --------------------------------------------------------------------------
-# verify mode: fast invariant suites for every module
-# --------------------------------------------------------------------------
-
-def _suite_gaussian_field(tol):
-    import math
-
-    from . import gaussian_field as gf
-    checks = []
-    hs = np.linspace(0.51, 0.99, 7)
-    err = max(abs(gf.renorm_constant_sq_quadrature(h) - gf.renorm_constant_sq(h))
-              / gf.renorm_constant_sq(h) for h in hs)
-    checks.append(("renorm_closed_vs_quadrature", err < tol.get("renorm", 1e-6),
-                   f"max rel err {err:.2e}"))
-    a = gf.synthesize_fgn(0.75, 1024, seed=7)
-    b = gf.synthesize_fgn(0.75, 1024, seed=7)
-    checks.append(("fgn_determinism", bool(np.array_equal(a.values, b.values)), ""))
-    m, nn = 60, 1 << 12
-    ests = np.array([[float(np.dot(y[k:], y[:nn - k]) / (nn - k)) for k in (0, 1, 2)]
-                     for y in (gf.synthesize_fgn(0.75, nn, seed=(11, i)).values
-                               for i in range(m))])
-    targ = np.array([gf.fgn_covariance(0.75, k) for k in (0, 1, 2)])
-    z = np.abs(ests.mean(0) - targ) / (ests.std(0, ddof=1) / math.sqrt(m))
-    checks.append(("fgn_covariance_mc", bool(np.all(z < 4.0)),
-                   f"max z {z.max():.2f}"))
-    fg = gf.synthesize_field_grid([0.6, 0.9], np.arange(256.0), seed=3)
-    dev = float(np.abs(fg.column_variance - 1).max())
-    checks.append(("field_column_variance", dev < 0.02, f"max dev {dev:.3f}"))
-    scaled = gf.increment_field_covariance(100.0, 0.0, 0.75, 0.75) * 100.0 ** 0.5
-    rel = abs(scaled / gf.asymptotic_covariance_scale(0.75, 0.75) - 1.0)
-    checks.append(("asymptotic_scale_lag100", rel < 0.02, f"rel {rel:.2e}"))
-    return checks
-
-
-def _suite_hermite(tol):
-    import math
-
-    from scipy.special import roots_hermitenorm
-
-    from . import hermite as hm
-    checks = []
-    nodes, w = roots_hermitenorm(128)
-    w = w / np.sqrt(2 * np.pi)
-    err = 0.0
-    for j in range(9):
-        pj = hm.hermite_poly(j, nodes)
-        for k in range(9):
-            v = float(np.dot(w, pj * hm.hermite_poly(k, nodes)))
-            err = max(err, abs(v - (math.factorial(k) if j == k else 0.0)))
-    checks.append(("orthogonality", err < 1e-8, f"max err {err:.1e}"))
-    s3 = hm.hermite_coeffs(hm.truncation("cubic"))
-    ok = (abs(s3.coeff(1) - 3) < 1e-9 and abs(s3.coeff(3) - 6) < 1e-9
-          and s3.rank == 1)
-    checks.append(("cubic_coefficients", ok,
-                   f"J1={s3.coeff(1):.3e} J3={s3.coeff(3):.3e}"))
-    comp = [abs(hm.composed_covariance(s3, r) - (9 * r + 6 * r ** 3))
-            for r in (0.1, 0.5, 0.9)]
-    checks.append(("cubic_composition", max(comp) < 1e-9, f"max {max(comp):.1e}"))
-    st = hm.hermite_coeffs(hm.truncation("tanh", a=1.5))
-    var_t = float(np.dot(w, np.tanh(1.5 * nodes) ** 2))
-    rel = abs(hm.composed_covariance(st, 1.0) - var_t) / var_t
-    checks.append(("parseval_tanh", rel < 3 * st.tail_fraction + 1e-9,
-                   f"rel {rel:.1e} tail {st.tail_fraction:.1e}"))
-    return checks
-
-
-def _suite_medium(tol):
-    from dataclasses import replace as drep
-
-    from . import hermite as hm
-    from . import medium as md
-    checks = []
-    spec = md.MediumSpec(epsilon=0.1, gamma_profile=md.constant_profile(0.8),
-                         seed=5)
-    r1, r2 = md.build_medium(spec), md.build_medium(spec)
-    checks.append(("determinism", bool(np.array_equal(r1.nu_eps, r2.nu_eps)), ""))
-    rs = md.build_medium(md.MediumSpec(
-        epsilon=0.1, gamma_profile=md.constant_profile(0.8),
-        truncation=hm.truncation("identity", scale=2.5), seed=5))
-    rel = float(np.max(np.abs(rs.nu_eps - 2.5 * r1.nu_eps))
-                / np.max(np.abs(r1.nu_eps)))
-    checks.append(("scaling_bilinearity", rel < 1e-13, f"rel {rel:.1e}"))
-    r0 = md.build_medium(drep(spec, truncation=hm.truncation("zero"),
-                              hermite=None))
-    checks.append(("zero_truncation", bool(np.all(r0.nu_eps == 0.0)), ""))
-    const = drep(r1, nu_eps=np.full(r1.n_slabs, 3.0))
-    vt = md.v_triple(const, 2.0)
-    closed = 3.0 * 0.1 * np.sin(2 * 2.0 * 1.0 / 0.1) / (2 * 2.0)
-    rel = abs(vt.v2.values[-1] - closed) / abs(closed)
-    checks.append(("v2_closed_form", rel < 0.01, f"rel {rel:.1e}"))
-    return checks
-
-
-def _suite_propagator(tol):
-    from dataclasses import replace as drep
-
-    from . import medium as md
-    from . import propagator as pp
-    checks = []
-    spec = md.MediumSpec(epsilon=0.1, gamma_profile=md.constant_profile(0.8),
-                         seed=2)
-    real = md.build_medium(spec)
-    one = drep(real, z_grid=np.array([0.0, 0.004]), nu_eps=np.array([2.0]))
-    st = pp.propagate(one, 1.0)
-    phi = 2 * 1.0 * 0.002 / 0.1
-    a_err = abs(st.alpha - (1 + 1j * 1.0 * 2.0 * 0.004 / 2))
-    b_err = abs(st.beta - 1j * 1.0 * 2.0 * 0.004 / 2 * np.exp(1j * phi))
-    checks.append(("frozen_slab_closed_form", max(a_err, b_err) < 1e-10,
-                   f"max err {max(a_err, b_err):.1e}"))
-    grid = pp.FrequencyGrid.for_window(128, 1 / 8)
-    sp = pp.spectrum(real, grid)
-    defect = sp.conservation_defect()
-    checks.append(("energy_conservation", defect < tol.get("conservation", 1e-8),
-                   f"defect {defect:.1e}"))
-    tp, rp = pp.transmission(pp.propagate(real, 3.0))
-    tm, rm = pp.transmission(pp.propagate(real, -3.0))
-    err = max(abs(tm - np.conj(tp)), abs(rm - np.conj(rp)))
-    checks.append(("frequency_mirror", err < 1e-10, f"err {err:.1e}"))
-    zero = drep(real, nu_eps=np.zeros(real.n_slabs))
-    spz = pp.spectrum(zero, grid)
-    checks.append(("transparent_zero_medium",
-                   bool(np.allclose(spz.T, 1.0) and np.allclose(spz.R, 0.0)), ""))
-    checks.append(("tm_modulus_bound", bool(np.max(np.abs(sp.T)) <= 1 + 1e-12),
-                   f"max |T| {np.max(np.abs(sp.T)):.6f}"))
-    return checks
-
-
-def _suite_pulse(tol):
-    from dataclasses import replace as drep
-
-    from . import medium as md
-    from . import propagator as pp
-    from . import pulse as pl
-    checks = []
-    f = pl.gaussian_source(n=1024)
-    ident = pp.TransmissionSpectrum(grid=f.grid,
-                                    T=np.ones(f.grid.n, complex),
-                                    R=np.zeros(f.grid.n, complex), det_drift=0.0)
-    a = pl.transmitted_pulse(ident, f)
-    checks.append(("identity_inversion",
-                   float(np.max(np.abs(a.values - f.values))) < 1e-12, ""))
-    shift = drep(ident, T=np.exp(1j * f.grid.omegas * 0.5))
-    a2 = pl.transmitted_pulse(shift, f)
-    err = float(np.max(np.abs(a2.values - np.exp(-0.5 * (f.s_grid - 0.5) ** 2))))
-    checks.append(("shift_theorem", err < 1e-9, f"err {err:.1e}"))
-    disp = drep(ident, T=np.exp(-0.2 * f.grid.omegas ** 2 / 4))
-    a3 = pl.transmitted_pulse(disp, f)
-    var = 1.0 + 0.1
-    exact = np.sqrt(1 / var) * np.exp(-0.5 * f.s_grid ** 2 / var)
-    checks.append(("gaussian_convolution",
-                   float(np.max(np.abs(a3.values - exact))) < 1e-9, ""))
-    spec = md.MediumSpec(epsilon=0.1, gamma_profile=md.constant_profile(0.8),
-                         seed=9)
-    real = md.build_medium(spec)
-    sp = pp.spectrum(real, f.grid)
-    at = pl.transmitted_pulse(sp, f)
-    bt = pl.reflected_pulse(sp, f)
-    ds = f.ds
-    defect = abs(np.sum(at.values ** 2) * ds + np.sum(bt.values ** 2) * ds
-                 - np.sum(f.values ** 2) * ds)
-    checks.append(("energy_audit", defect < 1e-8, f"defect {defect:.1e}"))
-    d = pl.pulse_distance(pl.PulseTrace(f.s_grid, f.values),
-                          pl.theory_longrange(f, 1.0))
-    checks.append(("shift_recovery", abs(d.best_shift - 0.5) < 1e-3,
-                   f"shift {d.best_shift:.5f}"))
-    return checks
-
-
-def _suite_limits(tol):
-    from . import limits as lm
-    checks = []
-    rel = max(abs(lm.sh_covariance(h, 1.0, 1.0) - 1.0) for h in (0.55, 0.75, 0.9))
-    checks.append(("constant_index_identity", rel < tol.get("sh_quad", 1e-4),
-                   f"max rel {rel:.1e}"))
-    ok = (abs(lm.hermite_covariance(0.75, 1, 1) - 1) < 1e-12
-          and lm.hermite_covariance(0.75, 1, 0) == 0.0
-          and abs(lm.hermite_covariance(0.75, 2, 1) - 2 ** 0.5) < 1e-12)
-    checks.append(("hermite_covariance_values", ok, ""))
-    t1 = lm.simulate_hermite(0.7, 2, 512, seed=4)
-    t2 = lm.simulate_hermite(0.7, 2, 512, seed=4)
-    checks.append(("determinism", bool(np.array_equal(t1.values, t2.values)), ""))
-    checks.append(("starts_at_zero", t1.values[0] == 0.0, ""))
-    return checks
-
-
-def _suite_stats(tol):
-    from . import gaussian_field as gf
-    from . import stats as st
-    checks = []
-    rng = np.random.default_rng(0)
-    path = np.cumsum(rng.standard_normal(1 << 12))
-    tr = gf.Trajectory(np.arange(1 << 12) / float(1 << 12), path)
-    e1 = st.hurst_estimate(tr, n_boot=0).value
-    tr2 = gf.Trajectory(tr.t_grid, 5.0 * tr.values + 7.0)
-    checks.append(("affine_invariance",
-                   abs(e1 - st.hurst_estimate(tr2, n_boot=0).value) < 1e-12, ""))
-    ramp = gf.Trajectory(np.arange(2048) / 2048.0, np.linspace(0, 1, 2048))
-    e = st.hurst_estimate(ramp, n_boot=0)
-    checks.append(("ramp_boundary", e.boundary and abs(e.value - 1.0) < 1e-9, ""))
-    lin = gf.Trajectory(np.linspace(0, 1, (1 << 10) + 1),
-                        np.linspace(0, 1, (1 << 10) + 1))
-    rep = st.dyadic_p_variation(lin, 2.0, 8)
-    expect = 2.0 ** -np.arange(1, 9)
-    checks.append(("pvariation_linear_path",
-                   bool(np.allclose(rep.dyadic_sums, expect, rtol=1e-10)), ""))
-    agg = st.mc_aggregate(np.full(32, 2.5), "mean")
-    checks.append(("zero_width_ci", agg.ci_high - agg.ci_low == 0.0, ""))
-    return checks
-
-
-_SUITES = (
-    ("gaussian_field", _suite_gaussian_field),
-    ("hermite", _suite_hermite),
-    ("medium", _suite_medium),
-    ("propagator", _suite_propagator),
-    ("pulse", _suite_pulse),
-    ("limits", _suite_limits),
-    ("stats", _suite_stats),
-)
-
-
-def run_verify_suites(tolerances=None):
-    """Run every module's fast invariant suite; returns (report, all_passed)."""
-    tol = dict(tolerances or {})
-    report = {}
-    all_ok = True
-    for name, suite in _SUITES:
-        checks = suite(tol)
-        report[name] = [{"check": c, "passed": bool(ok), "detail": detail}
-                        for c, ok, detail in checks]
-        all_ok &= all(ok for _, ok, _ in checks)
-    return report, all_ok
 
 
 def _run_verify(cfg: ExperimentConfig, out, artifacts):

@@ -7,6 +7,7 @@ the main reproducibility hazard.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,11 +15,14 @@ from .errors import ConfigurationError
 from .hermite import truncation
 from .medium import MediumSpec, profile_from_config
 from .pulse import gaussian_source, ricker_source
+from .verify import TOLERANCES
 
 MODES = ("synth", "propagate", "sweep", "limits", "verify")
 
 
 def _take(d: dict, allowed: dict, where: str) -> dict:
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigurationError(
@@ -153,6 +157,13 @@ class ExperimentConfig:
         if vals["mode"] not in MODES:
             raise ConfigurationError(
                 f"unknown mode {vals['mode']!r}; choose from {MODES}")
+        for key, value in _take(vals["tolerances"], TOLERANCES,
+                                "tolerances").items():
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value) or value <= 0):
+                raise ConfigurationError(
+                    f"tolerances.{key} must be a finite positive number, "
+                    f"got {value!r}")
         return cls(
             mode=vals["mode"], seed=int(vals["seed"]),
             output_dir=str(vals["output_dir"]), jobs=int(vals["jobs"]),

@@ -14,7 +14,6 @@ import numpy as np
 from scipy.special import roots_hermitenorm
 
 from .errors import ConfigurationError, DomainError, SynthesisError
-from .gaussian_field import Trajectory
 
 __all__ = [
     "Truncation",
@@ -23,7 +22,6 @@ __all__ = [
     "truncation",
     "TRUNCATION_CATALOG",
     "hermite_coeffs",
-    "transform_path",
     "composed_covariance",
 ]
 
@@ -170,18 +168,6 @@ def hermite_coeffs(t: Truncation, sigma0=1.0, k_max=12, *, tol=1e-9,
             f"{tail_fraction:.2e} > {tail_tol:.0e} at k_max={k_max}: increase k_max")
     return HermiteSpec(sigma0=sigma0, coeffs=coeffs, rank=rank, k_max=int(k_max),
                        tol=float(tol), tail_fraction=tail_fraction, truncation=t)
-
-
-def transform_path(t: Truncation, path: Trajectory) -> Trajectory:
-    """Pointwise application of the truncation; the grid is preserved."""
-    values = t(path.values)
-    bad = np.nonzero(~np.isfinite(values))[0]
-    if bad.size:
-        raise SynthesisError(
-            f"truncation produced a non-finite value at index {int(bad[0])}")
-    meta = dict(path.meta)
-    meta["truncation"] = t.name
-    return Trajectory(path.t_grid, values, meta)
 
 
 def composed_covariance(spec: HermiteSpec, r_m):

@@ -275,7 +275,7 @@ def sh_covariance(h_profile, z1, z2, *, j1=1.0, band=1e-3, npts=16) -> float:
         weights = weights.reshape(rows.size, -1)
         o = owner[rows]
         h2 = _checked_index(prof(nodes), nodes.shape)
-        hu = np.broadcast_to(h1[o, None], nodes.shape)
+        hu = h1[o, None]
         vals = (j1_sq * asymptotic_covariance_scale(hu, h2)
                 * np.abs(u[o, None] - nodes) ** (hu + h2 - 2.0))
         inner += np.bincount(o, weights=np.sum(weights * vals, axis=1),

@@ -18,7 +18,7 @@ n micro correlation lengths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "VTriple",
     "build_medium",
     "white_medium",
-    "permuted_copy",
     "v_triple",
     "check_a2",
     "check_a3",
@@ -203,7 +202,6 @@ class MediumRealization:
     epsilon: float
     tau: float
     spec: MediumSpec | None = None
-    micro_values: np.ndarray | None = None   # underlying T(m) before scaling
     meta: dict = field(default_factory=dict)
 
     @property
@@ -249,7 +247,7 @@ def build_medium(spec: MediumSpec) -> MediumRealization:
     if not np.all(np.isfinite(nu_eps)):
         raise ConfigurationError("medium contains non-finite fluctuations")
     return MediumRealization(z_grid=z_grid, nu_eps=nu_eps, epsilon=eps,
-                             tau=spec.tau, spec=spec, micro_values=micro,
+                             tau=spec.tau, spec=spec,
                              meta={"seed": spec.seed})
 
 
@@ -275,19 +273,9 @@ def white_medium(epsilon, depth=1.0, seed=0, *, variance=1.0, tau=1.0,
     z_grid = dz * np.arange(n + 1)
     micro_width = dz / epsilon ** 2
     return MediumRealization(z_grid=z_grid, nu_eps=nu_eps, epsilon=epsilon,
-                             tau=tau, spec=spec, micro_values=micro,
+                             tau=tau, spec=spec,
                              meta={"seed": seed, "kind": "mixing",
                                    "sigma_sq": variance * micro_width / 2.0})
-
-
-def permuted_copy(real: MediumRealization, seed=0) -> MediumRealization:
-    """Shuffle slab values: keeps marginals, destroys the correlation law."""
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(real.n_slabs)
-    return replace(real, nu_eps=real.nu_eps[perm],
-                   micro_values=(real.micro_values[perm]
-                                 if real.micro_values is not None else None),
-                   meta={**real.meta, "shuffled": True})
 
 
 # --------------------------------------------------------------------------

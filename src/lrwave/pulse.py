@@ -21,7 +21,6 @@ __all__ = [
     "PulseDistance",
     "gaussian_source",
     "ricker_source",
-    "table_source",
     "transmitted_pulse",
     "reflected_pulse",
     "theory_longrange",
@@ -121,17 +120,6 @@ def ricker_source(width=1.0, window_lengths=16.0, n=4096) -> SourcePulse:
     q = (s / width) ** 2
     return _make_source(s, (1.0 - q) * np.exp(-0.5 * q),
                         f"ricker(width={width})")
-
-
-def table_source(s_grid, values, descriptor="table") -> SourcePulse:
-    s = np.asarray(s_grid, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if s.ndim != 1 or s.shape != v.shape or s.size < 8:
-        raise ConfigurationError("tabulated source needs matching 1-d arrays")
-    ds = np.diff(s)
-    if not np.allclose(ds, ds[0], rtol=1e-9):
-        raise ConfigurationError("tabulated source grid must be uniform")
-    return _make_source(s, v, descriptor)
 
 
 def _synthesize(tspec: TransmissionSpectrum, f: SourcePulse, coeffs, side) -> PulseTrace:

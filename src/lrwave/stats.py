@@ -1,5 +1,5 @@
-"""Estimators and Monte Carlo aggregation: empirical covariances, global and
-local regularity indices, dyadic p-variation sums, bootstrap intervals."""
+"""Estimators and Monte Carlo aggregation: global and local regularity
+indices, dyadic p-variation sums, bootstrap intervals."""
 from __future__ import annotations
 
 import math
@@ -12,9 +12,7 @@ from .gaussian_field import Trajectory
 
 __all__ = [
     "EstimateWithCI",
-    "CovarianceTable",
     "PVariationReport",
-    "empirical_cov",
     "hurst_estimate",
     "local_hurst",
     "dyadic_p_variation",
@@ -35,19 +33,6 @@ class EstimateWithCI:
         if not (self.ci_low <= self.value <= self.ci_high):
             raise ConfigurationError("confidence interval does not bracket value")
 
-    def as_dict(self) -> dict:
-        return {"value": self.value, "ci_low": self.ci_low,
-                "ci_high": self.ci_high, "method": self.method, "n": self.n,
-                "boundary": self.boundary}
-
-
-@dataclass(frozen=True)
-class CovarianceTable:
-    lags: np.ndarray
-    values: np.ndarray
-    errors: np.ndarray          # jackknife standard errors
-    n_realizations: int
-
 
 @dataclass(frozen=True)
 class PVariationReport:
@@ -58,53 +43,6 @@ class PVariationReport:
     weight_exponent: float
     bounded: bool               # no growth of S_n over the deepest levels
     trend: float                # fitted slope of log S_n per level
-
-    def as_dict(self) -> dict:
-        return {"p": self.p, "depth": self.depth,
-                "dyadic_sums": [float(s) for s in self.dyadic_sums],
-                "weighted_bound": self.weighted_bound,
-                "weight_exponent": self.weight_exponent,
-                "bounded": self.bounded, "trend": self.trend}
-
-
-def _values_matrix(trajs):
-    if isinstance(trajs, np.ndarray) and trajs.ndim == 2:
-        return trajs
-    grids = [t.t_grid for t in trajs]
-    ref = grids[0]
-    for g in grids[1:]:
-        if g.shape != ref.shape or not np.allclose(g, ref, rtol=1e-12, atol=1e-12):
-            raise ConfigurationError("ensemble trajectories on different grids")
-    return np.stack([t.values for t in trajs])
-
-
-def empirical_cov(trajs, lags, *, demean=True) -> CovarianceTable:
-    """Time-averaged lag covariances of an ensemble, with jackknife errors.
-
-    All trajectories must share one grid.  Realizations are the independent
-    units: within-path samples are averaged first, the spread across paths
-    gives the error bars.
-    """
-    x = _values_matrix(trajs)
-    m, n = x.shape
-    if m < 2:
-        raise DomainError("need at least two trajectories")
-    lags = np.asarray(lags, dtype=int)
-    if np.any(lags < 0) or np.any(lags >= n):
-        raise DomainError("lags must lie in [0, n)")
-    if demean:
-        x = x - x.mean()
-    values = np.empty(lags.size)
-    errors = np.empty(lags.size)
-    for i, k in enumerate(lags):
-        per_real = (np.mean(x[:, k:] * x[:, : n - k], axis=1) if k
-                    else np.mean(x * x, axis=1))
-        theta = per_real.mean()
-        loo = (per_real.sum() - per_real) / (m - 1)
-        values[i] = theta
-        errors[i] = math.sqrt((m - 1) / m * np.sum((loo - loo.mean()) ** 2))
-    return CovarianceTable(lags=lags, values=values, errors=errors,
-                           n_realizations=m)
 
 
 def _aggregated_variance(values, min_scale_exp=1, trim=4):

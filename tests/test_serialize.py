@@ -2,8 +2,7 @@ import json
 
 import numpy as np
 
-from lrwave import (MediumSpec, build_medium, constant_profile,
-                    dyadic_p_variation, hurst_estimate, synthesize_fgn)
+from lrwave import MediumSpec, build_medium, constant_profile, synthesize_fgn
 from lrwave.serialize import (medium_manifest, read_csv, write_medium,
                               write_trajectory)
 
@@ -30,13 +29,3 @@ def test_medium_roundtrip_and_manifest(tmp_path):
     assert manifest["profiles"]["h"][0] == 0.6
     assert manifest["truncation"]["name"] == "identity"
     json.dumps(manifest)
-
-
-def test_report_dicts_are_jsonable():
-    tr = synthesize_fgn(0.7, 2048, seed=9)
-    est = hurst_estimate(tr, n_boot=50)
-    d = json.loads(json.dumps(est.as_dict()))
-    assert d["ci_low"] <= d["value"] <= d["ci_high"]
-    rep = dyadic_p_variation(tr, 2.0, 6)
-    d2 = json.loads(json.dumps(rep.as_dict()))
-    assert len(d2["dyadic_sums"]) == 6

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrwave import (ConfigurationError, DomainError, Trajectory,
-                    dyadic_p_variation, empirical_cov, fgn_covariance,
+from lrwave import (DomainError, Trajectory, dyadic_p_variation,
                     hurst_estimate, local_hurst, mc_aggregate, simulate_sh,
                     synthesize_fgn)
 
@@ -12,34 +11,6 @@ from lrwave import (ConfigurationError, DomainError, Trajectory,
 def fbm_traj(h, n, seed):
     y = synthesize_fgn(h, n, seed).values
     return Trajectory(np.arange(n, dtype=float) / n, np.cumsum(y))
-
-
-class TestEmpiricalCov:
-    def test_iid_columns(self):
-        rng = np.random.default_rng(2)
-        trajs = [Trajectory(np.arange(2048.0), rng.standard_normal(2048))
-                 for _ in range(40)]
-        tab = empirical_cov(trajs, [0, 1, 5])
-        assert tab.values[0] == pytest.approx(1.0, abs=0.03)
-        assert abs(tab.values[1]) < 3 * tab.errors[1] + 1e-3
-        assert abs(tab.values[2]) < 3 * tab.errors[2] + 1e-3
-
-    def test_fgn_against_oracle(self):
-        trajs = [synthesize_fgn(0.75, 4096, seed=(70, i)) for i in range(60)]
-        tab = empirical_cov(trajs, [0, 1, 3])
-        for lag, val, err in zip(tab.lags, tab.values, tab.errors):
-            assert abs(val - fgn_covariance(0.75, int(lag))) < 3.5 * err
-
-    def test_duplicates_zero_error(self):
-        base = synthesize_fgn(0.75, 512, seed=5)
-        tab = empirical_cov([base, base, base, base], [0, 1])
-        assert np.all(tab.errors < 1e-12)
-
-    def test_grid_mismatch(self):
-        a = synthesize_fgn(0.75, 512, seed=1)
-        b = synthesize_fgn(0.75, 256, seed=2)
-        with pytest.raises(ConfigurationError):
-            empirical_cov([a, b], [0])
 
 
 class TestHurstEstimate:
@@ -53,12 +24,6 @@ class TestHurstEstimate:
         ests = [hurst_estimate(fbm_traj(0.5, 1 << 15, seed=(72, i)),
                                n_boot=0).value for i in range(12)]
         assert abs(np.mean(ests) - 0.5) < 0.05
-
-    def test_linear_ramp_boundary(self):
-        tr = Trajectory(np.arange(4096.0), np.linspace(0, 1, 4096))
-        est = hurst_estimate(tr, n_boot=0)
-        assert est.boundary
-        assert est.value == pytest.approx(1.0, abs=1e-9)
 
     @given(st.floats(min_value=0.1, max_value=50),
            st.floats(min_value=-10, max_value=10))
