@@ -23,14 +23,14 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import MODES, ExperimentConfig
 from .errors import ConfigurationError, DomainError
 from .serialize import (artifact_entry, medium_manifest, write_json,
                         write_medium, write_pulse, write_spectrum,
                         write_trajectory)
 from .verify import run_verify_suites
 
-__all__ = ["run", "emit_figure_data", "main"]
+__all__ = ["run", "main"]
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def _run_sweep(cfg: ExperimentConfig, out, artifacts):
             "realizations": len(cfg.sweep.epsilons) * cfg.ensemble.n_realizations}
 
 
-def emit_figure_data(cfg: ExperimentConfig, out, artifacts):
+def _run_limits(cfg: ExperimentConfig, out, artifacts):
     """Trajectory CSVs of the limiting processes for the configured index
     profiles, plus a covariance-oracle grid per profile as a regression
     fixture (external plotting; no rendering here)."""
@@ -150,8 +150,6 @@ def emit_figure_data(cfg: ExperimentConfig, out, artifacts):
     from .medium import profile_from_config
     from .serialize import write_csv
 
-    if not cfg.limits.profiles and cfg.limits.h is None:
-        raise ConfigurationError("limits mode needs profiles or a constant h")
     count = 0
     if cfg.limits.kind in ("fbm", "hermite"):
         spec = LimitSpec(kind=cfg.limits.kind, n=cfg.limits.n, h=cfg.limits.h,
@@ -160,6 +158,10 @@ def emit_figure_data(cfg: ExperimentConfig, out, artifacts):
             out / f"{cfg.limits.kind}_h{cfg.limits.h}.csv", simulate(spec)))
         count += 1
     else:
+        if not cfg.limits.profiles:
+            raise ConfigurationError(
+                f"limits.profiles is empty; kind {cfg.limits.kind!r} needs "
+                "at least one index profile")
         zs = (0.25, 0.5, 0.75, 1.0)
         for j, prof_cfg in enumerate(cfg.limits.profiles):
             prof = profile_from_config(prof_cfg)
@@ -219,8 +221,7 @@ def run(config, *, overrides=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         artifacts = []
         runner = {"synth": _run_synth, "propagate": _run_propagate,
-                  "sweep": _run_sweep,
-                  "limits": lambda c, o, a: emit_figure_data(c, o, a),
+                  "sweep": _run_sweep, "limits": _run_limits,
                   "verify": _run_verify}[cfg.mode]
         counters = runner(cfg, out, artifacts)
         manifest = {
@@ -247,8 +248,7 @@ def main(argv=None) -> int:
                     "synthesis, propagation, and limit-law verification.")
     parser.add_argument("--config", help="JSON config path (defaults apply "
                                          "when omitted)")
-    parser.add_argument("--mode", choices=("synth", "propagate", "sweep",
-                                           "limits", "verify"))
+    parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--seed", type=int, help="override the base seed")
     parser.add_argument("--jobs", type=int,
                         default=int(os.environ.get("LRWAVE_JOBS", "1")),

@@ -1,13 +1,18 @@
 """Experiment configuration: strict JSON parsing into dataclasses.
 
-The config is a JSON object with nested sections (grammar documented in the
-README).  Unknown keys anywhere are hard errors: silent misconfiguration is
-the main reproducibility hazard.
+The section dataclasses below are the config grammar (documented in the
+README): their fields are the keys, their defaults the defaults and their
+annotations the accepted JSON types.  Unknown keys and mistyped values
+anywhere are hard errors that name the dotted key: silent misconfiguration
+is the main reproducibility hazard.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,18 +24,48 @@ from .verify import TOLERANCES
 
 MODES = ("synth", "propagate", "sweep", "limits", "verify")
 
+_JSON_TYPES = {float: "a finite number", int: "an integer", str: "a string",
+               dict: "a JSON object"}
 
-def _take(d: dict, allowed: dict, where: str) -> dict:
-    if not isinstance(d, dict):
-        raise ConfigurationError(f"{where} must be a JSON object")
+
+def _reject_unknown(d: dict, allowed, where: str):
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigurationError(
             f"unknown key(s) {sorted(unknown)} in {where}; "
             f"allowed: {sorted(allowed)}")
-    out = dict(allowed)
-    out.update(d)
-    return out
+
+
+def _value(tp, value, key: str):
+    """``value`` checked against the annotation ``tp``.  A section is parsed
+    and a list becomes a tuple for ``tuple[X, ...]``; nothing else is
+    converted.  ``float`` accepts an int but not a bool, and only finite."""
+    if isinstance(tp, types.UnionType):                      # X | None
+        return None if value is None else _value(tp.__args__[0], value, key)
+    if dataclasses.is_dataclass(tp):
+        return _parse(tp, value, key)
+    if typing.get_origin(tp) is tuple:                       # tuple[X, ...]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"{key} must be a list, got {value!r}")
+        return tuple(_value(tp.__args__[0], v, f"{key}[{i}]")
+                     for i, v in enumerate(value))
+    accepted = (int, float) if tp is float else tp
+    if (isinstance(value, bool) or not isinstance(value, accepted)
+            or (tp is float and not math.isfinite(value))):
+        raise ConfigurationError(
+            f"{key} must be {_JSON_TYPES[tp]}, got {value!r}")
+    return value
+
+
+def _parse(cls, d, where: str):
+    """Section ``cls`` from the JSON object ``d`` found at dotted key
+    ``where`` ("" at the root); keys left out take the field defaults."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{where or 'config'} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    _reject_unknown(d, hints, where or "config")
+    return cls(**{k: _value(hints[k], v, f"{where}.{k}" if where else k)
+                  for k, v in d.items()})
 
 
 @dataclass(frozen=True)
@@ -43,13 +78,6 @@ class MediumBlock:
     truncation: dict = field(default_factory=lambda: {"name": "identity"})
     n_slabs: int | None = None
     level_spacing: float = 0.01
-
-    @classmethod
-    def from_dict(cls, d: dict, where="medium") -> "MediumBlock":
-        vals = _take(d, {f.name: getattr(cls, f.name, None)
-                         for f in cls.__dataclass_fields__.values()}, where)
-        vals["truncation"] = d.get("truncation", {"name": "identity"})
-        return cls(**vals)
 
     def to_spec(self, seed, epsilon=None) -> MediumSpec:
         t_cfg = dict(self.truncation)
@@ -76,12 +104,6 @@ class SourceBlock:
     window_lengths: float = 16.0
     n: int = 4096
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SourceBlock":
-        vals = _take(d, {f.name: getattr(cls, f.name)
-                         for f in cls.__dataclass_fields__.values()}, "source")
-        return cls(**vals)
-
     def build(self):
         if self.kind == "gaussian":
             return gaussian_source(self.width, self.window_lengths, self.n)
@@ -94,20 +116,10 @@ class SourceBlock:
 class EnsembleBlock:
     n_realizations: int = 100
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnsembleBlock":
-        vals = _take(d, {"n_realizations": 100}, "ensemble")
-        return cls(**vals)
-
 
 @dataclass(frozen=True)
 class SweepBlock:
-    epsilons: tuple = (0.1, 0.05, 0.025)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SweepBlock":
-        vals = _take(d, {"epsilons": (0.1, 0.05, 0.025)}, "sweep")
-        return cls(epsilons=tuple(float(e) for e in vals["epsilons"]))
+    epsilons: tuple[float, ...] = (0.1, 0.05, 0.025)
 
 
 @dataclass(frozen=True)
@@ -116,20 +128,14 @@ class LimitsBlock:
     n: int = 1 << 16
     k: int = 1
     h: float | None = None
-    profiles: tuple = (
+    profiles: tuple[dict, ...] = (
         {"kind": "linear", "start": 0.55, "end": 0.85},
         {"kind": "periodic", "mean": 0.7, "amplitude": 0.15, "cycles": 2.0},
     )
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LimitsBlock":
-        defaults = {f.name: getattr(cls, f.name)
-                    for f in cls.__dataclass_fields__.values()}
-        vals = _take(d, defaults, "limits")
-        vals["profiles"] = tuple(vals["profiles"])
-        if vals["n"] < 2:
+    def __post_init__(self):
+        if self.n < 2:
             raise ConfigurationError("limits.n must be at least 2")
-        return cls(**vals)
 
 
 @dataclass(frozen=True)
@@ -145,34 +151,24 @@ class ExperimentConfig:
     limits: LimitsBlock = field(default_factory=LimitsBlock)
     tolerances: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigurationError(
+                f"unknown mode {self.mode!r}; choose from {MODES}")
+        if self.seed < 0:      # numpy seed sequences take no negative entry
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        _reject_unknown(self.tolerances, TOLERANCES, "tolerances")
+        for key, value in self.tolerances.items():
+            if _value(float, value, f"tolerances.{key}") <= 0:
+                raise ConfigurationError(
+                    f"tolerances.{key} must be positive, got {value!r}")
+
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if "config" in d and "artifacts" in d:
             # a run manifest doubles as a config for byte-exact replay
             d = d["config"]
-        allowed = {"mode": "verify", "seed": 1234, "output_dir": "out",
-                   "jobs": 1, "medium": {}, "source": {}, "ensemble": {},
-                   "sweep": {}, "limits": {}, "tolerances": {}}
-        vals = _take(d, allowed, "config")
-        if vals["mode"] not in MODES:
-            raise ConfigurationError(
-                f"unknown mode {vals['mode']!r}; choose from {MODES}")
-        for key, value in _take(vals["tolerances"], TOLERANCES,
-                                "tolerances").items():
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value) or value <= 0):
-                raise ConfigurationError(
-                    f"tolerances.{key} must be a finite positive number, "
-                    f"got {value!r}")
-        return cls(
-            mode=vals["mode"], seed=int(vals["seed"]),
-            output_dir=str(vals["output_dir"]), jobs=int(vals["jobs"]),
-            medium=MediumBlock.from_dict(vals["medium"]),
-            source=SourceBlock.from_dict(vals["source"]),
-            ensemble=EnsembleBlock.from_dict(vals["ensemble"]),
-            sweep=SweepBlock.from_dict(vals["sweep"]),
-            limits=LimitsBlock.from_dict(vals["limits"]),
-            tolerances=dict(vals["tolerances"]))
+        return _parse(cls, d, "")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -187,25 +183,4 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """All defaults materialized, JSON-able."""
-        return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "jobs": self.jobs,
-            "medium": {
-                "epsilon": self.medium.epsilon, "tau": self.medium.tau,
-                "depth": self.medium.depth, "gamma": self.medium.gamma,
-                "h": self.medium.h, "truncation": dict(self.medium.truncation),
-                "n_slabs": self.medium.n_slabs,
-                "level_spacing": self.medium.level_spacing,
-            },
-            "source": {"kind": self.source.kind, "width": self.source.width,
-                       "window_lengths": self.source.window_lengths,
-                       "n": self.source.n},
-            "ensemble": {"n_realizations": self.ensemble.n_realizations},
-            "sweep": {"epsilons": list(self.sweep.epsilons)},
-            "limits": {"kind": self.limits.kind, "n": self.limits.n,
-                       "k": self.limits.k, "h": self.limits.h,
-                       "profiles": [dict(p) for p in self.limits.profiles]},
-            "tolerances": dict(self.tolerances),
-        }
+        return json.loads(json.dumps(dataclasses.asdict(self)))

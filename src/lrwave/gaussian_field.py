@@ -58,6 +58,11 @@ _REFINE_OCTAVES = 30
 _REFINE_PER_OCTAVE = 6
 # largest accepted deviation of a discretized column variance from 1
 _VAR_TOL = 0.02
+# absolute tolerances of the normalization and field-covariance quadratures,
+# and the frequency splitting the latter into head and tail
+_RENORM_EPSABS, _COV_EPSABS, _COV_X_BREAK = 1e-11, 1e-10, 1.0
+# most negative circulant eigenvalue accepted, relative to the largest
+_FGN_NEG_TOL = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -186,10 +191,10 @@ class FieldGrid:
 # scalars
 # --------------------------------------------------------------------------
 
-def validate_hurst(h, lo=0.0, hi=1.0, name="hurst index"):
+def validate_hurst(h):
     arr = np.asarray(h, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= lo) or np.any(arr >= hi):
-        raise DomainError(f"{name} must lie in ({lo}, {hi}), got {h}")
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+        raise DomainError(f"hurst index must lie in (0, 1), got {h}")
     return float(arr) if arr.ndim == 0 else arr
 
 
@@ -204,7 +209,7 @@ def renorm_constant(h):
     return np.sqrt(renorm_constant_sq(h))
 
 
-def renorm_constant_sq_quadrature(h, *, epsabs=1e-11) -> float:
+def renorm_constant_sq_quadrature(h) -> float:
     """Integral form: int over R of |exp(-ix) - 1|^2 / |x|^(2H+1) dx.
 
     Independent cross-check of :func:`renorm_constant_sq`.  The head is
@@ -226,11 +231,12 @@ def renorm_constant_sq_quadrature(h, *, epsabs=1e-11) -> float:
         return beta * g
 
     head, head_err = quad(head_integrand, 0.0, 1.0,
-                          epsabs=epsabs, epsrel=1e-10, limit=200)
+                          epsabs=_RENORM_EPSABS, epsrel=1e-10, limit=200)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         osc, osc_err = quad(lambda x: -2.0 * x ** (-a), 1.0, np.inf,
-                            weight="cos", wvar=1.0, epsabs=epsabs, limit=200)
+                            weight="cos", wvar=1.0, epsabs=_RENORM_EPSABS,
+                            limit=200)
     total = 2.0 * (head + 1.0 / h + osc)
     err = 2.0 * (head_err + osc_err)
     if err > max(1e-8, 1e-7 * abs(total)):
@@ -292,7 +298,7 @@ def _circulant_eigenvalues(h, m):
     return np.fft.fft(row).real
 
 
-def synthesize_fgn(h, n, seed, *, neg_tol=1e-9) -> Trajectory:
+def synthesize_fgn(h, n, seed) -> Trajectory:
     """Exact synthesis of n samples of fGn(H) by circulant embedding.
 
     The embedding spectrum must be nonnegative; a negative eigenvalue beyond
@@ -307,7 +313,7 @@ def synthesize_fgn(h, n, seed, *, neg_tol=1e-9) -> Trajectory:
     lam = None
     for _ in range(2):
         lam = _circulant_eigenvalues(h, m)
-        if lam.min() >= -neg_tol * lam.max():
+        if lam.min() >= -_FGN_NEG_TOL * lam.max():
             break
         m *= 2
     else:
@@ -599,8 +605,7 @@ def _quadrature_tail(d, s, b, epsabs):
     return total, err
 
 
-def field_covariance(z1, z2, h1, h2, *, epsabs=1e-10,
-                     x_break=1.0) -> FieldCovariance:
+def field_covariance(z1, z2, h1, h2) -> FieldCovariance:
     """Covariance of the spectral field between (z1, H1) and (z2, H2).
 
     Evaluates the frequency integral
@@ -619,12 +624,13 @@ def field_covariance(z1, z2, h1, h2, *, epsabs=1e-10,
     d = abs(float(z2) - float(z1))
     norm = renorm_constant(h1) * renorm_constant(h2)
 
-    head, head_err = _quadrature_head(d, s, x_break, epsabs)
-    tail, tail_err = _quadrature_tail(d, s, x_break, epsabs)
+    head, head_err = _quadrature_head(d, s, _COV_X_BREAK, _COV_EPSABS)
+    tail, tail_err = _quadrature_tail(d, s, _COV_X_BREAK, _COV_EPSABS)
     value = (head + tail) / norm
     err = (head_err + tail_err) / norm
     closed = float(increment_field_covariance(z1, z2, h1, h2))
-    if abs(value - closed) > max(100.0 * (err + epsabs), 1e-3 * abs(closed)):
+    if abs(value - closed) > max(100.0 * (err + _COV_EPSABS),
+                                 1e-3 * abs(closed)):
         raise QuadratureError(
             f"field covariance quadrature ({value:.6e}) disagrees with the "
             f"closed form ({closed:.6e})", residual=abs(value - closed))

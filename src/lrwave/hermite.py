@@ -25,6 +25,12 @@ __all__ = [
     "composed_covariance",
 ]
 
+# hermite_coeffs: J(1.._K_MAX) by _QUAD_ORDER-point Gauss-Hermite quadrature,
+# the rank from |J(k)| > _RANK_TOL, and the largest accepted variance-series
+# tail for polynomial maps (which terminate exactly) and for smooth ones
+_K_MAX, _QUAD_ORDER, _RANK_TOL = 12, 192, 1e-9
+_TAIL_TOL_POLYNOMIAL, _TAIL_TOL_SMOOTH = 1e-10, 2e-2
+
 
 def hermite_poly(k, x):
     """P_k(x) by the recurrence P_{k+1} = x P_k - k P_{k-1} (vectorized)."""
@@ -114,22 +120,20 @@ class HermiteSpec:
         return float(self.coeffs[k - 1])
 
 
-def hermite_coeffs(t: Truncation, sigma0=1.0, k_max=12, *, tol=1e-9,
-                   quad_order=192, tail_tol=None) -> HermiteSpec:
-    """Coefficients J(k) = E[T(sigma0 X) P_k(X)] by Gauss-Hermite quadrature.
+def hermite_coeffs(t: Truncation, sigma0=1.0) -> HermiteSpec:
+    """Coefficients J(k) = E[T(sigma0 X) P_k(X)], k = 1.._K_MAX, by
+    Gauss-Hermite quadrature.
 
-    The rank is the smallest k with |J(k)| > tol.  Maps with nonzero mean are
-    rejected (media must be centered).  Polynomial maps must have a vanishing
-    series tail at k_max (they terminate exactly); smooth non-polynomial maps
-    such as tanh carry a slowly decaying tail, which is measured, stored on
-    the result, and rejected only beyond ``tail_tol`` (default 2%).
+    The rank is the smallest k with |J(k)| > _RANK_TOL.  Maps with nonzero
+    mean are rejected (media must be centered).  Polynomial maps must have a
+    vanishing series tail at _K_MAX (they terminate exactly); smooth
+    non-polynomial maps such as tanh carry a slowly decaying tail, which is
+    measured, stored on the result, and rejected only beyond 2%.
     """
-    if k_max < 1:
-        raise DomainError("k_max must be at least 1")
     sigma0 = float(sigma0)
     if sigma0 <= 0:
         raise DomainError("sigma0 must be positive")
-    nodes, weights = roots_hermitenorm(int(quad_order))
+    nodes, weights = roots_hermitenorm(_QUAD_ORDER)
     weights = weights / math.sqrt(2.0 * np.pi)   # E[g(X)] = sum w_i g(x_i)
     ty = t(sigma0 * nodes)
     if not np.all(np.isfinite(ty)):
@@ -137,37 +141,36 @@ def hermite_coeffs(t: Truncation, sigma0=1.0, k_max=12, *, tol=1e-9,
 
     j0 = float(np.dot(weights, ty))
     scale = max(1.0, float(np.max(np.abs(ty))))
-    if abs(j0) > max(tol, 1e-9 * scale):
+    if abs(j0) > max(_RANK_TOL, 1e-9 * scale):
         raise ConfigurationError(
             f"truncation {t.name!r} is not centered: E[T(sigma0 X)] = {j0:.3e}")
 
-    coeffs = np.empty(k_max)
+    coeffs = np.empty(_K_MAX)
     prev = np.ones_like(nodes)
     cur = nodes.copy()
-    for k in range(1, k_max + 1):
+    for k in range(1, _K_MAX + 1):
         coeffs[k - 1] = np.dot(weights, ty * cur)
         prev, cur = cur, nodes * cur - k * prev
 
-    above = np.nonzero(np.abs(coeffs) > tol)[0]
+    above = np.nonzero(np.abs(coeffs) > _RANK_TOL)[0]
     if above.size == 0:
         raise ConfigurationError(
-            f"truncation {t.name!r} has zero Hermite rank up to k_max={k_max}")
+            f"truncation {t.name!r} has zero Hermite rank up to k_max={_K_MAX}")
     rank = int(above[0]) + 1
 
-    series = coeffs ** 2 / np.array([math.factorial(k) for k in range(1, k_max + 1)])
+    series = coeffs ** 2 / np.array([math.factorial(k) for k in range(1, _K_MAX + 1)])
     # parity makes alternate terms vanish and individual coefficients can sit
     # near zeros, so the tail is continued from the largest of the last four
-    last = series[-min(4, k_max):]
+    last = series[-4:]
     tail_fraction = float(4.0 * last.max() / max(series.sum(), 1e-300))
-    if tail_tol is None:
-        polynomial = t.degree is not None and t.degree <= k_max
-        tail_tol = 1e-10 if polynomial else 2e-2
+    polynomial = t.degree is not None and t.degree <= _K_MAX
+    tail_tol = _TAIL_TOL_POLYNOMIAL if polynomial else _TAIL_TOL_SMOOTH
     if tail_fraction > tail_tol:
         raise ConfigurationError(
             f"Hermite series of {t.name!r} has tail fraction "
-            f"{tail_fraction:.2e} > {tail_tol:.0e} at k_max={k_max}: increase k_max")
-    return HermiteSpec(sigma0=sigma0, coeffs=coeffs, rank=rank, k_max=int(k_max),
-                       tol=float(tol), tail_fraction=tail_fraction, truncation=t)
+            f"{tail_fraction:.2e} > {tail_tol:.0e} at k_max={_K_MAX}")
+    return HermiteSpec(sigma0=sigma0, coeffs=coeffs, rank=rank, k_max=_K_MAX,
+                       tol=_RANK_TOL, tail_fraction=tail_fraction, truncation=t)
 
 
 def composed_covariance(spec: HermiteSpec, r_m):

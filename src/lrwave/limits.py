@@ -46,6 +46,11 @@ __all__ = [
 _SH_X_MAX_FACTOR = 16.0 * np.pi
 # Monte Carlo paths behind the rank-K normalization of a varying profile
 _CALIBRATION_PATHS = 256
+# index-ladder spacing of the coupled noise along a varying profile
+_SH_LEVEL_SPACING = 0.02
+# covariance oracle: half-width of the analytic diagonal band relative to
+# max(z1, z2), and the Gauss-Legendre order of the outer panels
+_SH_BAND, _SH_NPTS = 1e-3, 16
 
 
 def _as_profile(h_profile):
@@ -113,16 +118,17 @@ def simulate_hermite(h, k, n, seed) -> Trajectory:
                             "seed": y.meta.get("seed")})
 
 
-def _coupled_noise(h_field, n, seed, *, level_spacing):
+def _coupled_noise(h_field, n, seed):
     zeta = np.arange(1, n + 1, dtype=float)
     grid_spec = FrequencyGridSpec(x_max=_SH_X_MAX_FACTOR,
                                   dx=2.0 * np.pi / (4.0 * (n + 1.0)))
     values, _ = sample_field_diagonal(h_field, zeta, grid_spec=grid_spec,
-                                      seed=seed, level_spacing=level_spacing)
+                                      seed=seed,
+                                      level_spacing=_SH_LEVEL_SPACING)
     return values
 
 
-def simulate_sh(h_profile, n, seed, *, level_spacing=0.02) -> Trajectory:
+def simulate_sh(h_profile, n, seed) -> Trajectory:
     """Multifractional limit process on [0, 1]: partial sums
     sum_{j <= N t} N^(-h(j/N)) Y_j(h(j/N)) with one shared spectral noise
     coupling the fractional white noises Y(.) across indices."""
@@ -130,19 +136,18 @@ def simulate_sh(h_profile, n, seed, *, level_spacing=0.02) -> Trajectory:
     if n < 2 ** 8:
         raise DomainError("need at least 2^8 increments")
     h = _profile_values(h_profile, n)
-    y = _coupled_noise(h, n, seed, level_spacing=level_spacing)
+    y = _coupled_noise(h, n, seed)
     values = np.concatenate([[0.0], np.cumsum(float(n) ** (-h) * y)])
     return Trajectory(np.arange(n + 1) / n, values,
                       meta={"kind": "sh", "n": n, "seed": repr(seed)})
 
 
 # calibrated rank-K scales, keyed by value: (digest of the profile samples,
-# k, n, level spacing); bounded, oldest entry evicted first
+# k, n); bounded, oldest entry evicted first
 _SH_HERMITE_NORM_CACHE: dict = {}
 
 
-def simulate_sh_hermite(h_profile, k, n, seed, *,
-                        level_spacing=0.02) -> Trajectory:
+def simulate_sh_hermite(h_profile, k, n, seed) -> Trajectory:
     """Rank-K multifractional process: partial sums of P_K of the coupled
     noise at field indices (h(.) - 1)/K + 1, weighted N^(-h(.)).
 
@@ -158,7 +163,7 @@ def simulate_sh_hermite(h_profile, k, n, seed, *,
         raise DomainError("need at least 2^8 increments")
     h = _profile_values(h_profile, n)
     h_field = (h - 1.0) / k + 1.0
-    y = _coupled_noise(h_field, n, seed, level_spacing=level_spacing)
+    y = _coupled_noise(h_field, n, seed)
     p = hermite_poly(k, y)
     weights = float(n) ** (-h)
     if k == 1:
@@ -166,14 +171,13 @@ def simulate_sh_hermite(h_profile, k, n, seed, *,
     elif np.ptp(h) < 1e-12:
         scale = _hermite_sum_std(float(h_field[0]), k, n) / float(n) ** float(h[0])
     else:
-        key = (hashlib.sha256(h.tobytes()).digest(), k, n, level_spacing)
+        key = (hashlib.sha256(h.tobytes()).digest(), k, n)
         scale = _SH_HERMITE_NORM_CACHE.get(key)
         if scale is None:
             # calibration paths draw from their own fixed seed stream
             acc = np.empty(_CALIBRATION_PATHS)
             for i in range(_CALIBRATION_PATHS):
-                yc = _coupled_noise(h_field, n, (987001, k, i),
-                                    level_spacing=level_spacing)
+                yc = _coupled_noise(h_field, n, (987001, k, i))
                 acc[i] = np.dot(weights, hermite_poly(k, yc))
             scale = float(acc.std(ddof=1))
             if len(_SH_HERMITE_NORM_CACHE) >= 8:
@@ -198,7 +202,7 @@ def _checked_index(h, shape):
     return h
 
 
-def sh_covariance(h_profile, z1, z2, *, j1=1.0, band=1e-3, npts=16) -> float:
+def sh_covariance(h_profile, z1, z2, *, j1=1.0) -> float:
     """Covariance of the multifractional limit at (z1, z2):
 
         j1^2 * int_0^z1 int_0^z2 R(h(u1), h(u2)) |u1-u2|^(h(u1)+h(u2)-2)
@@ -208,11 +212,11 @@ def sh_covariance(h_profile, z1, z2, *, j1=1.0, band=1e-3, npts=16) -> float:
     graded geometrically toward the singular lines and the domain corners.
     Exact for constant profiles (where the identity
     int int H(2H-1)|u-v|^(2H-2) = z^(2H) applies); frozen-coefficient band
-    error O(h' * band * log^2 band) otherwise.
+    error O(h' * _SH_BAND * log^2 _SH_BAND) otherwise.
 
-    Rule: ``npts``-point Gauss-Legendre in u1 on panels graded toward 0,
+    Rule: _SH_NPTS-point Gauss-Legendre in u1 on panels graded toward 0,
     z1 and, when z2 < z1, z2.  At each outer node u1 the u2 integral over
-    [0, z2] is the band |u1 - u2| < delta = band * max(z1, z2) integrated
+    [0, z2] is the band |u1 - u2| < delta = _SH_BAND * max(z1, z2) integrated
     analytically with h frozen at h(u1), plus 12-point Gauss-Legendre on
     each flank outside it, graded toward u1 (toward z2 for u1 >= z2) down
     to clip(delta / (2 * length), 1e-7, 0.25) of the flank's length.
@@ -233,14 +237,14 @@ def sh_covariance(h_profile, z1, z2, *, j1=1.0, band=1e-3, npts=16) -> float:
     check = np.linspace(0.0, max(z1, z2), 65)
     _checked_index(prof(check), check.shape)
     j1_sq = float(j1) ** 2
-    delta = band * max(z1, z2)
+    delta = _SH_BAND * max(z1, z2)
 
     breakpoints = [0.0, z1] if z2 >= z1 else [0.0, z2, z1]
     outer_edges = []
     for a, b in zip(breakpoints[:-1], breakpoints[1:]):
         seg = geometric_edges(a, b, toward="both", min_frac=1e-9)
         outer_edges.append(seg if not outer_edges else seg[1:])
-    u, w = panel_nodes(np.concatenate(outer_edges), npts)
+    u, w = panel_nodes(np.concatenate(outer_edges), _SH_NPTS)
     h1 = _checked_index(prof(u), u.shape)
 
     # analytic diagonal band at the nodes inside [0, z2)

@@ -48,6 +48,13 @@ __all__ = [
 
 MAX_SLABS = 1 << 22
 
+# assumption checks: pair lags are measured against eps^_LAM; A2 keeps lags
+# beyond _A2_Z_DELTA of it, in windows of _A2_WINDOW_FRACTION of the depth
+# for varying profiles, and needs _A2_MIN_ENSEMBLE media; both checks need
+# _MIN_PAIR_SAMPLES products; A3 flags points above _A3_SLACK x its fit
+_LAM, _A2_Z_DELTA, _A2_WINDOW_FRACTION, _A2_MIN_ENSEMBLE = 2.0, 4.0, 0.1, 100
+_MIN_PAIR_SAMPLES, _A3_SLACK = 1000, 3.0
+
 
 # --------------------------------------------------------------------------
 # depth profiles (functions of normalized depth u = z / Z in [0, 1])
@@ -129,6 +136,9 @@ class MediumSpec:
             raise ConfigurationError("epsilon must lie in (0, 1)")
         if self.tau <= 0 or self.depth <= 0:
             raise ConfigurationError("tau and depth must be positive")
+        if not (math.isfinite(self.level_spacing) and self.level_spacing > 0):
+            raise ConfigurationError("level_spacing must be finite and "
+                                     f"positive, got {self.level_spacing!r}")
         if self.kind == "mixing":
             return
         if (self.gamma_profile is None) == (self.h_profile is None):
@@ -251,29 +261,25 @@ def build_medium(spec: MediumSpec) -> MediumRealization:
                              meta={"seed": spec.seed})
 
 
-def white_medium(epsilon, depth=1.0, seed=0, *, variance=1.0, tau=1.0,
-                 n_slabs=None) -> MediumRealization:
-    """Mixing (short-range) fixture: i.i.d. slab noise scaled by 1/eps.
+def white_medium(epsilon, seed=0, *, variance=1.0) -> MediumRealization:
+    """Mixing (short-range) fixture on [0, 1]: i.i.d. slab noise scaled by
+    1/eps (the MediumSpec defaults depth = tau = 1).
 
     The effective correlation parameter is sigma^2 = variance * micro_width/2
     (triangle covariance of piecewise-constant unit cells), stored in meta;
     the limiting transmitted pulse spreads by a Gaussian of variance
     sigma^2 * depth / 2.
     """
-    spec = MediumSpec(epsilon=epsilon, tau=tau, depth=depth, seed=seed,
-                      n_slabs=n_slabs, kind="mixing")
-    n = (int(n_slabs) if n_slabs is not None
-         else int(math.ceil(depth / epsilon ** 2)))
-    if n > MAX_SLABS:
-        raise ConfigurationError(f"slab budget exceeded: {n} > {MAX_SLABS}")
-    dz = depth / n
+    spec = MediumSpec(epsilon=epsilon, seed=seed, kind="mixing")
+    n = spec.resolved_slabs()
+    dz = spec.depth / n
     rng = np.random.default_rng(seed)
     micro = math.sqrt(variance) * rng.standard_normal(n)
-    nu_eps = micro / epsilon ** tau
+    nu_eps = micro / epsilon ** spec.tau
     z_grid = dz * np.arange(n + 1)
     micro_width = dz / epsilon ** 2
     return MediumRealization(z_grid=z_grid, nu_eps=nu_eps, epsilon=epsilon,
-                             tau=tau, spec=spec,
+                             tau=spec.tau, spec=spec,
                              meta={"seed": seed, "kind": "mixing",
                                    "sigma_sq": variance * micro_width / 2.0})
 
@@ -378,15 +384,14 @@ def _default_r_estimate(spec: MediumSpec):
     return estimate
 
 
-def check_a2(reals, *, delta=0.3, lam=2.0, z_delta=4.0, anchors=None,
-             lags=None, r_estimate=None, min_pair_samples=1000,
-             min_ensemble=100, window_fraction=0.1) -> A2Report:
+def check_a2(reals, *, delta=0.3) -> A2Report:
     """Compare ensemble covariances against the power-law form
     R(z1, z2) |z1 - z2|^(-gamma(z1, z2)) at moderate lags.
 
-    Pairs are restricted to |z1 - z2| > eps^lam * z_delta.  Constant-profile
-    media are pooled over all depths; varying profiles restrict pairs to
-    windows around the given anchors.  Passes when every admissible pair
+    Pairs are restricted to |z1 - z2| > eps^_LAM * _A2_Z_DELTA, at up to six
+    doubling lags up to an eighth of the depth.  Constant-profile media are
+    pooled over all depths; varying profiles restrict pairs to windows
+    around u = 0.25, 0.5 and 0.75.  Passes when every admissible pair
     deviates from its target by at most delta (relative) beyond Monte Carlo
     error bars; products of long-memory fields are extremely noisy, so large
     ensembles are needed for a conclusive verdict.
@@ -398,27 +403,22 @@ def check_a2(reals, *, delta=0.3, lam=2.0, z_delta=4.0, anchors=None,
     n = ref.n_slabs
     dz = ref.dz
     eps = ref.epsilon
-    if r_estimate is None and spec is not None and spec.kind == "long_range":
-        r_estimate = _default_r_estimate(spec)
-    if r_estimate is None or len(reals) < min_ensemble:
-        return A2Report("inconclusive", None, (), delta, lam, 0)
+    long_range = spec is not None and spec.kind == "long_range"
+    r_estimate = _default_r_estimate(spec) if long_range else None
+    if r_estimate is None or len(reals) < _A2_MIN_ENSEMBLE:
+        return A2Report("inconclusive", None, (), delta, _LAM, 0)
 
-    min_lag = max(1, int(math.ceil(eps ** lam * z_delta / dz)))
-    if lags is None:
-        lags = []
-        lag = max(min_lag, 2)
-        while lag <= n // 8 and len(lags) < 6:
-            lags.append(lag)
-            lag *= 2
-    lags = [int(l) for l in lags if min_lag <= l < n]
+    min_lag = max(1, int(math.ceil(eps ** _LAM * _A2_Z_DELTA / dz)))
+    lags = []
+    lag = max(min_lag, 2)
+    while lag <= n // 8 and len(lags) < 6:
+        lags.append(lag)
+        lag *= 2
     if not lags:
-        return A2Report("inconclusive", None, (), delta, lam, 0)
+        return A2Report("inconclusive", None, (), delta, _LAM, 0)
 
-    if anchors is None:
-        u_probe = np.linspace(0.0, 1.0, 33)
-        varying = (spec is not None and spec.kind == "long_range"
-                   and np.ptp(spec.h(u_probe)) > 1e-9)
-        anchors = (0.25, 0.5, 0.75) if varying else ("all",)
+    varying = np.ptp(spec.h(np.linspace(0.0, 1.0, 33))) > 1e-9
+    anchors = (0.25, 0.5, 0.75) if varying else ("all",)
 
     rows = []
     n_samples = 0
@@ -427,7 +427,7 @@ def check_a2(reals, *, delta=0.3, lam=2.0, z_delta=4.0, anchors=None,
             if a == "all":
                 i_idx = np.arange(0, n - lag)
             else:
-                half = max(2, int(window_fraction * n / 2))
+                half = max(2, int(_A2_WINDOW_FRACTION * n / 2))
                 center = int(float(a) * n)
                 i0 = max(0, center - half)
                 i1 = min(n - lag - 1, center + half)
@@ -444,27 +444,29 @@ def check_a2(reals, *, delta=0.3, lam=2.0, z_delta=4.0, anchors=None,
             rows.append((a if a == "all" else float(a), lag, emp, se,
                          float(target), float(rel)))
             n_samples += i_idx.size * len(reals)
-    if not rows or n_samples < min_pair_samples:
-        return A2Report("inconclusive", None, tuple(rows), delta, lam, n_samples)
+    if not rows or n_samples < _MIN_PAIR_SAMPLES:
+        return A2Report("inconclusive", None, tuple(rows), delta, _LAM,
+                        n_samples)
 
     targets = np.array([r[4] for r in rows])
     emps = np.array([r[2] for r in rows])
     ses = np.array([r[3] for r in rows])
     if np.all(np.abs(targets) < 1e-30):
-        return A2Report("inconclusive", None, tuple(rows), delta, lam, n_samples)
+        return A2Report("inconclusive", None, tuple(rows), delta, _LAM,
+                        n_samples)
     # error bars too wide to discriminate the law from a flat covariance
     if np.any(3.0 * ses > 0.7 * np.abs(targets)):
-        return A2Report("inconclusive", None, tuple(rows), delta, lam, n_samples)
+        return A2Report("inconclusive", None, tuple(rows), delta, _LAM,
+                        n_samples)
     max_rel = float(np.max(np.abs(emps - targets) / np.abs(targets)))
     ok = np.all(np.abs(emps - targets) <= delta * np.abs(targets) + 3.0 * ses)
-    return A2Report("pass" if ok else "fail", max_rel, tuple(rows), delta, lam,
+    return A2Report("pass" if ok else "fail", max_rel, tuple(rows), delta, _LAM,
                     n_samples)
 
 
-def check_a3(reals, *, lam=2.0, rho=8.0, min_pair_samples=1000,
-             slack=3.0) -> A3Report:
+def check_a3(reals, *, rho=8.0) -> A3Report:
     """Fit |cov| <= C * |z1 - z2|^(-gamma) on micro-scale pairs
-    (|z1 - z2| < eps^lam * rho) and flag non-integrable short-lag growth.
+    (|z1 - z2| < eps^_LAM * rho) and flag non-integrable short-lag growth.
 
     A fitted exponent >= 1 fails (the covariance spike would not be
     integrable); otherwise violations of the fitted bound are counted.
@@ -475,10 +477,10 @@ def check_a3(reals, *, lam=2.0, rho=8.0, min_pair_samples=1000,
     n = ref.n_slabs
     dz = ref.dz
     eps = ref.epsilon
-    max_lag = int(math.floor(eps ** lam * rho / dz))
+    max_lag = int(math.floor(eps ** _LAM * rho / dz))
     lags = [l for l in range(1, max_lag + 1) if l < n]
     if len(lags) < 2:
-        return A3Report("inconclusive", None, None, 0, (), lam, rho, 0)
+        return A3Report("inconclusive", None, None, 0, (), _LAM, rho, 0)
 
     rows = []
     n_samples = 0
@@ -487,15 +489,15 @@ def check_a3(reals, *, lam=2.0, rho=8.0, min_pair_samples=1000,
         emp, se = _ensemble_cov(reals, i_idx, i_idx + lag)
         rows.append((lag, abs(emp), se))
         n_samples += i_idx.size * len(reals)
-    if n_samples < min_pair_samples:
-        return A3Report("inconclusive", None, None, 0, tuple(rows), lam, rho,
+    if n_samples < _MIN_PAIR_SAMPLES:
+        return A3Report("inconclusive", None, None, 0, tuple(rows), _LAM, rho,
                         n_samples)
 
     emp = np.array([r[1] for r in rows])
     ses = np.array([r[2] for r in rows])
     mask = emp > np.maximum(5.0 * ses, 1e-300)
     if mask.sum() < 2:
-        return A3Report("inconclusive", None, None, 0, tuple(rows), lam, rho,
+        return A3Report("inconclusive", None, None, 0, tuple(rows), _LAM, rho,
                         n_samples)
     dist = np.array([r[0] * dz for r in rows])
     slope, intercept = np.polyfit(np.log(dist[mask]), np.log(emp[mask]), 1)
@@ -504,7 +506,7 @@ def check_a3(reals, *, lam=2.0, rho=8.0, min_pair_samples=1000,
     # count only gross departures from the fitted law: least-squares scatter
     # always places points above the central line
     bound = c_rho * dist ** (-gamma_rho)
-    violations = int(np.sum(emp > slack * bound + slack * ses))
+    violations = int(np.sum(emp > _A3_SLACK * bound + _A3_SLACK * ses))
     status = "fail" if gamma_rho >= 1.0 or violations else "pass"
-    return A3Report(status, c_rho, gamma_rho, violations, tuple(rows), lam,
+    return A3Report(status, c_rho, gamma_rho, violations, tuple(rows), _LAM,
                     rho, n_samples)

@@ -12,6 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
+# uniform depths on [0, 1] at which medium_manifest tabulates the profiles
+_PROFILE_POINTS = 256
+
 
 def fmt(x) -> str:
     return f"{float(x):.17g}"
@@ -84,9 +87,10 @@ def write_pulse(path, trace) -> Path:
     return write_csv(path, ["s", "value"], [trace.s_grid, trace.values])
 
 
-def medium_manifest(spec, n_profile=256) -> dict:
-    """JSON-able description of a medium spec, profiles tabulated."""
-    u = np.linspace(0.0, 1.0, n_profile)
+def medium_manifest(spec) -> dict:
+    """JSON-able description of a medium spec, profiles tabulated at
+    _PROFILE_POINTS depths."""
+    u = np.linspace(0.0, 1.0, _PROFILE_POINTS)
     entry = {
         "epsilon": spec.epsilon,
         "tau": spec.tau,

@@ -19,6 +19,11 @@ __all__ = [
     "mc_aggregate",
 ]
 
+# block-bootstrap stream and interval level of the regularity estimators
+_BOOT_SEED, _CI_LEVEL = 0, 0.95
+# exponent c of the weighted p-variation aggregate sum_n n^c S_n(p)
+_P_VARIATION_WEIGHT = 2.0
+
 
 @dataclass(frozen=True)
 class EstimateWithCI:
@@ -68,10 +73,10 @@ def _aggregated_variance(values, min_scale_exp=1, trim=4):
     return scales, msq, 0.5 * slope
 
 
-def _block_bootstrap_ci(values, scales, seed, n_boot, level, n_blocks=64):
+def _block_bootstrap_ci(values, scales, n_boot, n_blocks=64):
     """Bootstrap the scale regression by resampling coarse time blocks
     (the same blocks at every scale, preserving cross-scale coupling)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_BOOT_SEED)
     n = values.size
     edges = np.linspace(0, n - int(scales[-1]), n_blocks + 1).astype(int)
     block_means = np.empty((scales.size, n_blocks))
@@ -90,18 +95,18 @@ def _block_bootstrap_ci(values, scales, seed, n_boot, level, n_blocks=64):
         lm = np.log(msq)
         slope = np.sum((log_s - log_s.mean()) * (lm - lm.mean())) / denom
         hs[b] = 0.5 * slope
-    lo, hi = np.quantile(hs, [(1 - level) / 2, 1 - (1 - level) / 2])
+    lo, hi = np.quantile(hs, [(1 - _CI_LEVEL) / 2, 1 - (1 - _CI_LEVEL) / 2])
     return float(lo), float(hi)
 
 
-def _hurst_core(values, *, n_boot, seed, level, min_len, trim=4):
+def _hurst_core(values, *, n_boot, min_len, trim=4):
     if values.size < min_len:
         raise DomainError(f"need at least {min_len} samples")
     scales, msq, h_raw = _aggregated_variance(values, trim=trim)
     boundary = not (0.02 < h_raw < 0.98)
     h = float(np.clip(h_raw, 0.0, 1.0))
     if n_boot and not boundary:
-        lo, hi = _block_bootstrap_ci(values, scales, seed, n_boot, level)
+        lo, hi = _block_bootstrap_ci(values, scales, n_boot)
         lo, hi = min(lo, h), max(hi, h)
         method = "aggregated-variance/block-bootstrap"
     else:
@@ -111,8 +116,7 @@ def _hurst_core(values, *, n_boot, seed, level, min_len, trim=4):
                           method=method, n=int(values.size), boundary=boundary)
 
 
-def hurst_estimate(traj: Trajectory, *, n_boot=1000, seed=0,
-                   level=0.95) -> EstimateWithCI:
+def hurst_estimate(traj: Trajectory, *, n_boot=1000) -> EstimateWithCI:
     """Global regularity index by aggregated-variance log-log regression.
 
     Regresses log mean-square increments at dyadic scales on log scale; half
@@ -120,12 +124,11 @@ def hurst_estimate(traj: Trajectory, *, n_boot=1000, seed=0,
     path.  Estimates hitting the [0, 1] boundary are flagged (deterministic
     trends, e.g. a linear ramp, read as 1).
     """
-    return _hurst_core(traj.values, n_boot=n_boot, seed=seed, level=level,
-                       min_len=1 << 10)
+    return _hurst_core(traj.values, n_boot=n_boot, min_len=1 << 10)
 
 
-def local_hurst(traj: Trajectory, t0, window=None, *, n_boot=200, seed=0,
-                level=0.95) -> EstimateWithCI:
+def local_hurst(traj: Trajectory, t0, window=None, *,
+                n_boot=200) -> EstimateWithCI:
     """Regularity index from a window centered at time t0.
 
     ``window`` is the number of samples (defaults to 1/16 of the path,
@@ -142,14 +145,13 @@ def local_hurst(traj: Trajectory, t0, window=None, *, n_boot=200, seed=0,
         raise DomainError("window exceeds the trajectory")
     center = int(np.searchsorted(traj.t_grid, t0))
     lo = np.clip(center - window // 2, 0, n - window)
-    return _hurst_core(traj.values[lo:lo + window], n_boot=n_boot, seed=seed,
-                       level=level, min_len=1 << 8, trim=3)
+    return _hurst_core(traj.values[lo:lo + window], n_boot=n_boot,
+                       min_len=1 << 8, trim=3)
 
 
-def dyadic_p_variation(traj: Trajectory, p, max_depth=None, *,
-                       weight_exponent=2.0) -> PVariationReport:
+def dyadic_p_variation(traj: Trajectory, p, max_depth=None) -> PVariationReport:
     """Dyadic-level p-th power increment sums S_n(p) and their weighted
-    aggregate sum_n n^c S_n(p).
+    aggregate sum_n n^c S_n(p), c = _P_VARIATION_WEIGHT.
 
     S_n bounded in n indicates finite p-variation (expected for p above the
     reciprocal of the path's regularity index); the reported trend is the
@@ -173,14 +175,14 @@ def dyadic_p_variation(traj: Trajectory, p, max_depth=None, *,
         idx = np.round(np.linspace(0, n_pts - 1, (1 << lvl) + 1)).astype(int)
         sums[lvl - 1] = np.sum(np.abs(np.diff(w[idx])) ** p)
     levels = np.arange(1, max_depth + 1)
-    weighted = float(np.sum(levels ** weight_exponent * sums))
+    weighted = float(np.sum(levels ** _P_VARIATION_WEIGHT * sums))
     half = max_depth // 2
     tail_levels = levels[half:]
     tail = np.maximum(sums[half:], 1e-300)
     trend = float(np.polyfit(tail_levels, np.log(tail), 1)[0]) if tail.size > 1 else 0.0
     return PVariationReport(p=p, depth=max_depth, dyadic_sums=sums,
                             weighted_bound=weighted,
-                            weight_exponent=float(weight_exponent),
+                            weight_exponent=_P_VARIATION_WEIGHT,
                             bounded=trend <= 0.0, trend=trend)
 
 

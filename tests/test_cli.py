@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from lrwave.cli import main, run
 from lrwave.config import ExperimentConfig
 from lrwave.errors import ConfigurationError
 from lrwave.serialize import fmt, read_csv, write_csv
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def tiny_sweep_config(out, jobs=1):
@@ -48,6 +52,20 @@ class TestConfig:
     def test_section_must_be_object(self):
         with pytest.raises(ConfigurationError, match="tolerances"):
             ExperimentConfig.from_dict({"tolerances": 5})
+
+    def test_readme_grammar_is_the_schema(self):
+        block = re.search(r"```jsonc\n(.*?)```", README.read_text(), re.S)[1]
+        doc = json.loads(re.sub(r"//[^\n]*", "", block))
+
+        def keys(d, prefix=""):
+            out = set()
+            for k, v in d.items():
+                out.add(prefix + k)
+                if isinstance(v, dict):
+                    out |= keys(v, f"{prefix}{k}.")
+            return out
+
+        assert keys(doc) == keys(ExperimentConfig.from_dict(doc).resolved())
 
     def test_manifest_unwrapping(self):
         cfg = ExperimentConfig.from_dict({"mode": "synth"})
@@ -152,6 +170,44 @@ class TestRun:
                       "tolerances": {"renorm": value}})
         assert status == 1
         assert "tolerances.renorm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, cfg", [
+        ("medium.epsilon", {"mode": "synth", "medium": {"epsilon": "abc"}}),
+        ("ensemble.n_realizations",
+         {"mode": "synth", "ensemble": {"n_realizations": "2"}}),
+        ("jobs", {"mode": "synth", "jobs": "x"}),
+        ("seed", {"mode": "synth", "seed": 3.7}),
+        ("seed", {"mode": "synth", "seed": -1}),
+        ("limits.n", {"mode": "limits", "limits": {"n": "512"}}),
+        ("limits.profiles", {"mode": "limits", "limits": {"profiles": 5}}),
+        ("sweep.epsilons", {"mode": "sweep", "sweep": {"epsilons": 0.1}}),
+        ("source.n", {"mode": "propagate", "source": {"n": "1024"}}),
+        ("medium.truncation",
+         {"mode": "synth", "medium": {"truncation": "cubic"}}),
+        ("medium.gamma", {"mode": "synth", "medium": {"gamma": 5}}),
+        ("medium.tau", {"mode": "synth", "medium": {"tau": True}}),
+    ])
+    def test_bad_value_exits_one(self, tmp_path, capsys, key, cfg):
+        assert run(dict(cfg, output_dir=str(tmp_path))) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spacing", [0, float("nan"), -0.01])
+    def test_bad_level_spacing_exits_one(self, tmp_path, capsys, spacing):
+        status = run({"mode": "synth", "output_dir": str(tmp_path),
+                      "medium": {"epsilon": 0.2, "level_spacing": spacing,
+                                 "h": {"kind": "linear", "start": 0.6,
+                                       "end": 0.8}},
+                      "ensemble": {"n_realizations": 1}})
+        assert status == 1
+        assert "level_spacing" in capsys.readouterr().err
+
+    def test_limits_empty_profiles_exits_one(self, tmp_path, capsys):
+        status = run({"mode": "limits", "output_dir": str(tmp_path),
+                      "limits": {"kind": "multifrac", "h": 0.7,
+                                 "profiles": []}})
+        assert status == 1
+        assert "limits.profiles" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_limits_zero_length_rejected(self, tmp_path):
         status = run({"mode": "limits", "output_dir": str(tmp_path),

@@ -123,6 +123,16 @@ class TestSimulateShHermite:
         sk_b = np.mean(b_end ** 3)
         assert np.sign(sk_a) == np.sign(sk_b) == 1.0
 
+    def test_varying_profile_calibrated(self):
+        # the Monte Carlo-normalized branch: varying profile, K >= 2
+        m, n = 400, 256
+        prof = lambda u: 0.6 + 0.2 * np.asarray(u)
+        end = np.array([simulate_sh_hermite(prof, 2, n, seed=(69, i)).values[-1]
+                        for i in range(m)])
+        assert abs(end.var(ddof=1) - 1.0) < 0.35
+        c = end - end.mean()
+        assert np.mean(c ** 3) / np.mean(c ** 2) ** 1.5 > 0.0
+
     def test_zero_start(self):
         tr = simulate_sh_hermite(0.66, 2, 512, seed=1)
         assert tr.values[0] == 0.0
