@@ -57,6 +57,23 @@ def _value(tp, value, key: str):
     return value
 
 
+def _check_entry(build, cfg: dict, label: str, key: str):
+    """Check the free-form profile or truncation object ``cfg`` at dotted
+    ``key``: ``label`` ("kind" or "name") is a string, every other entry a
+    finite number, and ``build`` accepts them (known kind and parameters)."""
+    for name, value in cfg.items():
+        _value(str if name == label else float, value, f"{key}.{name}")
+    try:
+        build(cfg)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{key}: {exc}") from None
+
+
+def _truncation_from_config(cfg: dict):
+    params = dict(cfg)
+    return truncation(params.pop("name", None), **params)
+
+
 def _parse(cls, d, where: str):
     """Section ``cls`` from the JSON object ``d`` found at dotted key
     ``where`` ("" at the root); keys left out take the field defaults."""
@@ -79,12 +96,16 @@ class MediumBlock:
     n_slabs: int | None = None
     level_spacing: float = 0.01
 
+    def __post_init__(self):
+        _check_entry(_truncation_from_config, self.truncation, "name",
+                     "medium.truncation")
+        for key in ("gamma", "h"):
+            if getattr(self, key) is not None:
+                _check_entry(profile_from_config, getattr(self, key), "kind",
+                             f"medium.{key}")
+
     def to_spec(self, seed, epsilon=None) -> MediumSpec:
-        t_cfg = dict(self.truncation)
-        name = t_cfg.pop("name", None)
-        if name is None:
-            raise ConfigurationError("medium.truncation needs a 'name'")
-        trunc = truncation(name, **t_cfg)
+        trunc = _truncation_from_config(self.truncation)
         gamma = self.gamma
         if gamma is None and self.h is None:
             gamma = {"kind": "constant", "value": 0.8}
@@ -116,6 +137,11 @@ class SourceBlock:
 class EnsembleBlock:
     n_realizations: int = 100
 
+    def __post_init__(self):
+        if self.n_realizations < 1:
+            raise ConfigurationError("ensemble.n_realizations must be at "
+                                     f"least 1, got {self.n_realizations}")
+
 
 @dataclass(frozen=True)
 class SweepBlock:
@@ -136,6 +162,9 @@ class LimitsBlock:
     def __post_init__(self):
         if self.n < 2:
             raise ConfigurationError("limits.n must be at least 2")
+        for i, prof in enumerate(self.profiles):
+            _check_entry(profile_from_config, prof, "kind",
+                         f"limits.profiles[{i}]")
 
 
 @dataclass(frozen=True)

@@ -291,50 +291,39 @@ def increment_field_covariance(z1, z2, h1, h2):
 # fGn synthesis (circulant embedding)
 # --------------------------------------------------------------------------
 
-def _circulant_eigenvalues(h, m):
-    lags = np.arange(m + 1)
-    rho = fgn_covariance(h, lags)
-    row = np.concatenate([rho, rho[-2:0:-1]])
-    return np.fft.fft(row).real
+def _circulant_eigenvalues(h, n):
+    rho = fgn_covariance(h, np.arange(n + 1))
+    return np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real
 
 
 def synthesize_fgn(h, n, seed) -> Trajectory:
     """Exact synthesis of n samples of fGn(H) by circulant embedding.
 
-    The embedding spectrum must be nonnegative; a negative eigenvalue beyond
-    tolerance triggers one fallback to a doubled embedding, after which the
-    synthesis fails loudly rather than clipping the spectrum.
+    The minimal embedding (size 2n) is nonnegative definite for every H
+    (Craigmile 2003, J. Time Series Anal. 24:5); a spectrum negative beyond
+    _FGN_NEG_TOL fails loudly rather than being clipped.
     """
     h = validate_hurst(h)
     n = int(n)
     if n < 2:
         raise DomainError("need at least two samples")
-    m = n
-    lam = None
-    for _ in range(2):
-        lam = _circulant_eigenvalues(h, m)
-        if lam.min() >= -_FGN_NEG_TOL * lam.max():
-            break
-        m *= 2
-    else:
+    lam = _circulant_eigenvalues(h, n)
+    if lam.min() < -_FGN_NEG_TOL * lam.max():
         raise SynthesisError(
             f"circulant spectrum negative beyond tolerance (min {lam.min():.3e}) "
-            f"even after doubling the embedding to {m}")
+            f"for H = {h} and n = {n}")
     lam = np.clip(lam, 0.0, None)
-    twom = 2 * m
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(twom)
-    z = np.empty(twom, dtype=complex)
+    g = np.random.default_rng(seed).standard_normal(2 * n)
+    z = np.empty(2 * n, dtype=complex)
     z[0] = g[0]
-    z[m] = g[1]
-    half = (g[2:m + 1] + 1j * g[m + 1:]) / math.sqrt(2.0)
-    z[1:m] = half
-    z[m + 1:] = np.conj(half[::-1])
-    y = np.fft.fft(np.sqrt(lam / twom) * z)
-    values = y.real[:n]
-    return Trajectory(np.arange(n, dtype=float), values,
+    z[n] = g[1]
+    half = (g[2:n + 1] + 1j * g[n + 1:]) / math.sqrt(2.0)
+    z[1:n] = half
+    z[n + 1:] = np.conj(half[::-1])
+    y = np.fft.fft(np.sqrt(lam / (2 * n)) * z)
+    return Trajectory(np.arange(n, dtype=float), y.real[:n],
                       meta={"generator": "fgn-circulant", "h": h,
-                            "embedding": m, "seed": _seed_repr(seed)})
+                            "embedding": n, "seed": _seed_repr(seed)})
 
 
 def _seed_repr(seed):

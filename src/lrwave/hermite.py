@@ -94,7 +94,11 @@ def truncation(name, **params) -> Truncation:
     except KeyError:
         known = ", ".join(sorted(TRUNCATION_CATALOG))
         raise ConfigurationError(f"unknown truncation {name!r}; catalog: {known}")
-    return factory(**params)
+    try:
+        return factory(**params)
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"bad parameters for truncation {name!r}: {exc}")
 
 
 @dataclass(frozen=True)

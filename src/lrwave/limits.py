@@ -11,12 +11,15 @@ Four families, all normalized to start at 0 on t in [0, 1]:
   noise, weighted N^(-h(j/N))),
 * its rank-K generalization combining both.
 
+Every path has unit variance at t = 1 exactly: rank K divides by the sd of
+sum_j w_j P_K(Y_j), sqrt(K! sum_{j,l} w_j w_l r_jl^K) since E[P_K(X) P_K(Y)]
+= K! cov(X, Y)^K, an O(n) lag sum for a constant index, O(n^2) otherwise.
+
 Covariance oracles: the fBm/Hermite closed form and the double integral of
 the asymptotic field covariance for the multifractional case.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -25,8 +28,8 @@ import numpy as np
 from .errors import DomainError
 from .gaussian_field import (FrequencyGridSpec, Trajectory,
                              asymptotic_covariance_scale, fgn_covariance,
-                             sample_field_diagonal, synthesize_fgn,
-                             validate_hurst)
+                             increment_field_covariance, sample_field_diagonal,
+                             synthesize_fgn, validate_hurst)
 from .hermite import hermite_poly
 from .quadrature import geometric_edges, panel_count, panel_nodes
 
@@ -44,8 +47,8 @@ __all__ = [
 # low-frequency dominated, so 16*pi per unit micro step keeps the truncated
 # variance share below 0.5% at a quarter of the media-sampling cost
 _SH_X_MAX_FACTOR = 16.0 * np.pi
-# Monte Carlo paths behind the rank-K normalization of a varying profile
-_CALIBRATION_PATHS = 256
+# entries per row block of the rank-K normalization sum
+_PAIR_BLOCK = 1 << 15
 # index-ladder spacing of the coupled noise along a varying profile
 _SH_LEVEL_SPACING = 0.02
 # covariance oracle: half-width of the analytic diagonal band relative to
@@ -89,6 +92,25 @@ def _hermite_sum_std(h_tilde, k, n):
     rho_k = fgn_covariance(h_tilde, lags) ** k
     var = math.factorial(k) * (n + 2.0 * np.dot(n - lags, rho_k))
     return math.sqrt(var)
+
+
+def _weighted_hermite_sum_std(h_field, weights, k):
+    """Exact standard deviation of sum_j w_j P_K(Y_j) for the coupled noise
+    Y_j = m(j, h_field[j]): Var = K! * sum_{j,l} w_j w_l r_jl^K with r_jl =
+    increment_field_covariance(j, l, h_field[j], h_field[l]), evaluated in
+    blocks of rows j against l >= min(j): O(n^2) time, O(n) memory."""
+    n = h_field.size
+    step = max(1, _PAIR_BLOCK // n)
+    var = 0.0
+    for a in range(0, n, step):
+        j = np.arange(a, min(a + step, n))[:, None]
+        l = np.arange(a, n)
+        r = increment_field_covariance(j, l, h_field[j], h_field[l])
+        # weight 2 for l > j (the pair and its mirror), 1 for l = j, 0 for
+        # l < j (counted by an earlier block)
+        var += float(weights[j[:, 0]] @ ((np.sign(l - j) + 1.0) * r ** k)
+                     @ weights[l])
+    return math.sqrt(math.factorial(k) * var)
 
 
 def simulate_hermite(h, k, n, seed) -> Trajectory:
@@ -142,18 +164,15 @@ def simulate_sh(h_profile, n, seed) -> Trajectory:
                       meta={"kind": "sh", "n": n, "seed": repr(seed)})
 
 
-# calibrated rank-K scales, keyed by value: (digest of the profile samples,
-# k, n); bounded, oldest entry evicted first
-_SH_HERMITE_NORM_CACHE: dict = {}
-
-
 def simulate_sh_hermite(h_profile, k, n, seed) -> Trajectory:
     """Rank-K multifractional process: partial sums of P_K of the coupled
     noise at field indices (h(.) - 1)/K + 1, weighted N^(-h(.)).
 
     Reduces to :func:`simulate_sh` at K = 1 and matches
-    :func:`simulate_hermite` in law for constant profiles.  Normalization:
-    exact for constant profiles, Monte Carlo calibrated (cached) otherwise.
+    :func:`simulate_hermite` in law for constant profiles.  For K >= 2 the
+    path is divided by the exact sd of its end point, sqrt(K! * sum_{j,l}
+    w_j w_l r_jl^K) with w = N^(-h): O(N) for a constant profile, O(N^2)
+    for a varying one (about 0.05 s at N = 2^10, 0.8 s at 2^12).
     """
     k = int(k)
     if k < 1:
@@ -171,18 +190,7 @@ def simulate_sh_hermite(h_profile, k, n, seed) -> Trajectory:
     elif np.ptp(h) < 1e-12:
         scale = _hermite_sum_std(float(h_field[0]), k, n) / float(n) ** float(h[0])
     else:
-        key = (hashlib.sha256(h.tobytes()).digest(), k, n)
-        scale = _SH_HERMITE_NORM_CACHE.get(key)
-        if scale is None:
-            # calibration paths draw from their own fixed seed stream
-            acc = np.empty(_CALIBRATION_PATHS)
-            for i in range(_CALIBRATION_PATHS):
-                yc = _coupled_noise(h_field, n, (987001, k, i))
-                acc[i] = np.dot(weights, hermite_poly(k, yc))
-            scale = float(acc.std(ddof=1))
-            if len(_SH_HERMITE_NORM_CACHE) >= 8:
-                _SH_HERMITE_NORM_CACHE.pop(next(iter(_SH_HERMITE_NORM_CACHE)))
-            _SH_HERMITE_NORM_CACHE[key] = scale
+        scale = _weighted_hermite_sum_std(h_field, weights, k)
     values = np.concatenate([[0.0], np.cumsum(weights * p)]) / scale
     return Trajectory(np.arange(n + 1) / n, values,
                       meta={"kind": "sh_hermite", "k": k, "n": n,

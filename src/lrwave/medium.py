@@ -125,7 +125,7 @@ class MediumSpec:
     gamma_profile: Profile | None = None
     h_profile: Profile | None = None
     truncation: Truncation = field(default_factory=lambda: truncation("identity"))
-    hermite: HermiteSpec | None = None
+    hermite: HermiteSpec | None = field(init=False, default=None)
     n_slabs: int | None = None
     seed: int | tuple = 0
     level_spacing: float = 0.01
@@ -144,7 +144,7 @@ class MediumSpec:
         if (self.gamma_profile is None) == (self.h_profile is None):
             raise ConfigurationError(
                 "give exactly one of gamma_profile and h_profile")
-        if self.hermite is None and self.truncation.name != "zero":
+        if self.truncation.name != "zero":
             object.__setattr__(self, "hermite", hermite_coeffs(self.truncation))
         k = self.rank
         u = np.linspace(0.0, 1.0, 257)

@@ -105,18 +105,31 @@ def _make_source(s_grid, values, descriptor):
                        descriptor=descriptor)
 
 
+def _window(width, window_lengths, n):
+    """``n`` samples of a window ``window_lengths`` widths long centred on 0;
+    the parameters are named by their config keys."""
+    if not width > 0:
+        raise ConfigurationError(
+            f"source.width must be positive, got {width!r}")
+    if not window_lengths > 0:
+        raise ConfigurationError("source.window_lengths must be positive, got "
+                                 f"{window_lengths!r}")
+    if int(n) < 2:
+        raise ConfigurationError(f"source.n must be at least 2, got {n!r}")
+    half = 0.5 * window_lengths * width
+    return np.linspace(-half, half, int(n), endpoint=False)
+
+
 def gaussian_source(width=1.0, window_lengths=16.0, n=4096) -> SourcePulse:
     """f(s) = exp(-s^2 / 2 width^2) on a window of ``window_lengths`` widths."""
-    half = 0.5 * window_lengths * width
-    s = np.linspace(-half, half, int(n), endpoint=False)
+    s = _window(width, window_lengths, n)
     return _make_source(s, np.exp(-0.5 * (s / width) ** 2),
                         f"gaussian(width={width})")
 
 
 def ricker_source(width=1.0, window_lengths=16.0, n=4096) -> SourcePulse:
     """Second-derivative-of-Gaussian wavelet, normalized to unit peak."""
-    half = 0.5 * window_lengths * width
-    s = np.linspace(-half, half, int(n), endpoint=False)
+    s = _window(width, window_lengths, n)
     q = (s / width) ** 2
     return _make_source(s, (1.0 - q) * np.exp(-0.5 * q),
                         f"ricker(width={width})")

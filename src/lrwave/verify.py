@@ -120,8 +120,7 @@ class _Medium:
         return rel < 1e-13, f"rel {rel:.1e}"
 
     def zero_truncation(self, tol):
-        r0 = md.build_medium(drep(self.spec, truncation=hm.truncation("zero"),
-                                  hermite=None))
+        r0 = md.build_medium(drep(self.spec, truncation=hm.truncation("zero")))
         return np.all(r0.nu_eps == 0.0), ""
 
     def v2_closed_form(self, tol):

@@ -186,6 +186,39 @@ class TestRun:
          {"mode": "synth", "medium": {"truncation": "cubic"}}),
         ("medium.gamma", {"mode": "synth", "medium": {"gamma": 5}}),
         ("medium.tau", {"mode": "synth", "medium": {"tau": True}}),
+        ("medium.truncation",
+         {"mode": "synth",
+          "medium": {"truncation": {"name": "tanh", "b": 1}}}),
+        ("medium.gamma.value", {"mode": "synth", "medium": {
+            "gamma": {"kind": "constant", "value": "abc"}}}),
+        ("medium.truncation.scale", {"mode": "synth", "medium": {
+            "truncation": {"name": "cubic", "scale": "abc"}}}),
+        ("medium.truncation.scale", {"mode": "synth", "medium": {
+            "truncation": {"name": "identity", "scale": True}}}),
+        ("medium.h.start", {"mode": "synth", "medium": {
+            "h": {"kind": "linear", "start": True, "end": 0.8}}}),
+        ("limits.profiles[0]", {"mode": "limits", "limits": {
+            "profiles": [{"kind": "linear", "start": 0.6, "slope": 1}]}}),
+        ("limits.profiles[1].mean", {"mode": "limits", "limits": {
+            "profiles": [{"kind": "constant", "value": 0.7},
+                         {"kind": "periodic", "mean": "abc",
+                          "amplitude": 0.1}]}}),
+        ("ensemble.n_realizations", {"mode": "sweep", "sweep": {
+            "epsilons": [0.2]}, "ensemble": {"n_realizations": 0}}),
+        ("ensemble.n_realizations",
+         {"mode": "synth", "ensemble": {"n_realizations": -1}}),
+        ("source.n", {"mode": "propagate", "source": {"n": 1},
+                      "ensemble": {"n_realizations": 1}}),
+        ("source.n", {"mode": "propagate",
+                      "source": {"kind": "ricker", "n": 1},
+                      "ensemble": {"n_realizations": 1}}),
+        ("source.width", {"mode": "propagate", "source": {"width": 0},
+                          "ensemble": {"n_realizations": 1}}),
+        ("source.width", {"mode": "propagate", "source": {"width": -1},
+                          "ensemble": {"n_realizations": 1}}),
+        ("source.window_lengths",
+         {"mode": "propagate", "source": {"window_lengths": 0},
+          "ensemble": {"n_realizations": 1}}),
     ])
     def test_bad_value_exits_one(self, tmp_path, capsys, key, cfg):
         assert run(dict(cfg, output_dir=str(tmp_path))) == 1

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrwave import (ConfigurationError, DomainError, FrequencyGridSpec,
-                    Trajectory, asymptotic_covariance_scale, fgn_covariance,
-                    field_covariance, increment_field_covariance,
+                    SynthesisError, Trajectory, asymptotic_covariance_scale,
+                    fgn_covariance, field_covariance,
+                    increment_field_covariance,
                     renorm_constant, renorm_constant_sq,
                     renorm_constant_sq_quadrature, sample_field_diagonal,
                     synthesize_fgn, synthesize_field_grid)
@@ -91,6 +92,19 @@ class TestSynthesizeFgn:
     def test_too_short(self):
         with pytest.raises(DomainError):
             synthesize_fgn(0.75, 1, seed=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 100, 257, 1000, 4096, 12345,
+                                   65536])
+    def test_minimal_embedding_nonnegative(self, n):
+        for h in np.linspace(0.01, 0.99, 99):
+            lam = gf._circulant_eigenvalues(h, n)
+            assert lam.min() >= -gf._FGN_NEG_TOL * lam.max()
+
+    def test_negative_embedding_raises(self, monkeypatch):
+        monkeypatch.setattr(gf, "_circulant_eigenvalues",
+                            lambda h, n: np.array([1.0, -0.5, 1.0, 0.5]))
+        with pytest.raises(SynthesisError, match="negative"):
+            synthesize_fgn(0.75, 2, seed=0)
 
 
 class TestFieldGrid:

@@ -1,13 +1,15 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lrwave import (DomainError, LimitSpec, asymptotic_covariance_scale,
-                    hermite_covariance, profile_from_config, sh_covariance,
-                    simulate, simulate_hermite, simulate_sh,
-                    simulate_sh_hermite)
+                    hermite_covariance, increment_field_covariance,
+                    profile_from_config, sh_covariance, simulate,
+                    simulate_hermite, simulate_sh, simulate_sh_hermite)
+from lrwave import limits as lm
 from lrwave.quadrature import geometric_edges, panel_nodes
 
 FIGURES = Path(__file__).resolve().parents[1] / "configs" / "figures.json"
@@ -124,7 +126,7 @@ class TestSimulateShHermite:
         assert np.sign(sk_a) == np.sign(sk_b) == 1.0
 
     def test_varying_profile_calibrated(self):
-        # the Monte Carlo-normalized branch: varying profile, K >= 2
+        # the exact pair-sum normalization: varying profile, K >= 2
         m, n = 400, 256
         prof = lambda u: 0.6 + 0.2 * np.asarray(u)
         end = np.array([simulate_sh_hermite(prof, 2, n, seed=(69, i)).values[-1]
@@ -136,6 +138,42 @@ class TestSimulateShHermite:
     def test_zero_start(self):
         tr = simulate_sh_hermite(0.66, 2, 512, seed=1)
         assert tr.values[0] == 0.0
+
+    def test_one_noise_path_per_call(self, monkeypatch):
+        calls = []
+        draw = lm.sample_field_diagonal
+        monkeypatch.setattr(lm, "sample_field_diagonal",
+                            lambda *a, **kw: calls.append(1) or draw(*a, **kw))
+        prof = lambda u: 0.6 + 0.2 * np.asarray(u)
+        simulate_sh_hermite(prof, 2, 256, seed=2)
+        assert len(calls) == 1
+
+
+class TestRankKNormalization:
+    @pytest.mark.parametrize("block", [None, 200])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_pair_sum_matches_dense_covariance(self, monkeypatch, k, block):
+        if block:                   # several row blocks of 3 rows each
+            monkeypatch.setattr(lm, "_PAIR_BLOCK", block)
+        n = 64
+        h = 0.6 + 0.2 * np.arange(1, n + 1) / n
+        h_field = (h - 1.0) / k + 1.0
+        w = float(n) ** (-h)
+        j = np.arange(1.0, n + 1)
+        r = increment_field_covariance(j[:, None], j[None, :],
+                                       h_field[:, None], h_field[None, :])
+        dense = math.sqrt(math.factorial(k) * (w @ r ** k @ w))
+        assert lm._weighted_hermite_sum_std(h_field, w, k) == pytest.approx(
+            dense, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_constant_index_matches_toeplitz(self, k):
+        n, h = 512, 0.7
+        h_tilde = (h - 1.0) / k + 1.0
+        pair_sum = lm._weighted_hermite_sum_std(
+            np.full(n, h_tilde), np.full(n, float(n) ** -h), k)
+        assert pair_sum == pytest.approx(
+            lm._hermite_sum_std(h_tilde, k, n) / n ** h, rel=1e-12)
 
 
 class TestShCovariance:

@@ -43,6 +43,12 @@ class TestMediumSpec:
         assert spec2.h(np.array(0.5)) == pytest.approx(0.7)     # (2 - 0.6)/2
         assert spec2.field_index(np.array(0.5)) == pytest.approx(0.85)
 
+    def test_hermite_follows_replaced_truncation(self):
+        spec = replace(lr_spec(gamma=0.3),
+                       truncation=truncation("square_center"))
+        assert spec.rank == 2
+        assert spec.h(np.array(0.0)) == pytest.approx(0.7)
+
     def test_h_profile_roundtrip(self):
         spec = MediumSpec(epsilon=0.1, h_profile=constant_profile(0.6))
         assert spec.gamma(np.array(0.5)) == pytest.approx(0.8)
