@@ -10,11 +10,10 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigurationError, DomainError, PhaseResolutionError,
                      QuadratureError, StateError, SynthesisError, WindowError)
-from .gaussian_field import (FieldGrid, FrequencyGridSpec, Trajectory,
-                             asymptotic_covariance_scale, fgn_covariance,
-                             field_covariance, increment_field_covariance,
-                             renorm_constant, renorm_constant_sq,
-                             renorm_constant_sq_quadrature,
+from .gaussian_field import (Trajectory, asymptotic_covariance_scale,
+                             fgn_covariance, field_covariance,
+                             increment_field_covariance, renorm_constant,
+                             renorm_constant_sq, renorm_constant_sq_quadrature,
                              sample_field_diagonal, synthesize_fgn,
                              synthesize_field_grid)
 from .hermite import (HermiteSpec, Truncation, composed_covariance,

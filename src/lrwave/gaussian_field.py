@@ -1,8 +1,9 @@
 """Gaussian building blocks for long-range layered media.
 
-This module synthesizes the stationary fractional-noise sequences and the
-two-parameter Gaussian field m(z, H) that drive every medium in the package,
-together with their exact and asymptotic covariance oracles.
+This module synthesizes the coupled fractional-noise sequences that drive
+the limit processes, the two-parameter Gaussian field m(z, H) that drives
+every medium in the package, and their exact and asymptotic covariance
+oracles.
 
 Conventions
 -----------
@@ -20,9 +21,14 @@ Conventions
 * The frequency spacing is commensurate with the depth spacing, so the sum
   over the uniform nodes is one FFT of the noise folded onto the depth
   period.
+* On the integer lattice the same field at L indices is a stationary vector
+  process with closed-form lag covariances; it is sampled exactly by
+  circulant embedding (Wood & Chan 1994, JCGS 3:4), fGn being its one-level
+  case.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -35,14 +41,13 @@ from .errors import ConfigurationError, DomainError, QuadratureError, SynthesisE
 
 __all__ = [
     "Trajectory",
-    "FrequencyGridSpec",
-    "FieldGrid",
     "FieldCovariance",
     "validate_hurst",
     "renorm_constant",
     "renorm_constant_sq",
     "renorm_constant_sq_quadrature",
     "fgn_covariance",
+    "synthesize_coupled_fgn",
     "synthesize_fgn",
     "synthesize_field_grid",
     "increment_field_covariance",
@@ -61,8 +66,8 @@ _VAR_TOL = 0.02
 # absolute tolerances of the normalization and field-covariance quadratures,
 # and the frequency splitting the latter into head and tail
 _RENORM_EPSABS, _COV_EPSABS, _COV_X_BREAK = 1e-11, 1e-10, 1.0
-# most negative circulant eigenvalue accepted, relative to the largest
-_FGN_NEG_TOL = 1e-9
+# largest share of the circulant eigenvalue mass that may be clipped
+_CLIP_TOL = 1e-3
 
 
 # --------------------------------------------------------------------------
@@ -125,10 +130,6 @@ class FrequencyGridSpec:
     x_max: float
     dx: float
 
-    def __post_init__(self):
-        if not (self.x_max > 0 and self.dx > 0 and self.x_max > self.dx):
-            raise ConfigurationError("frequency grid needs 0 < dx < x_max")
-
     @property
     def n_uniform(self) -> int:
         return int(math.ceil(self.x_max / self.dx)) - 1
@@ -166,8 +167,11 @@ class FrequencyGridSpec:
         eff = max(span + _KERNEL_REACH, 8.0)
         x_max = 64.0 * np.pi / dz
         dx = 2.0 * np.pi / (4.0 * eff)
-        if _fold_size(dz, dx, span, x_max) is None:
-            dx = 2.0 * np.pi / (math.ceil(2.0 * np.pi / (dz * dx)) * dz)
+        # keep dx when the fold's worst-case phase error is below 1e-3 rad
+        ratio = 2.0 * np.pi / (dz * dx)
+        n = int(round(ratio))
+        if n < 2 or not abs(ratio - n) / ratio * span * x_max < 1e-3:
+            dx = 2.0 * np.pi / (math.ceil(ratio) * dz)
         return cls(x_max=x_max, dx=dx)
 
 
@@ -280,50 +284,84 @@ def increment_field_covariance(z1, z2, h1, h2):
     """
     h1 = validate_hurst(h1)
     h2 = validate_hurst(h2)
-    s = h1 + h2
     d = np.abs(np.asarray(z1, dtype=float) - np.asarray(z2, dtype=float))
-    pref = 0.5 * renorm_constant_sq(0.5 * s) / (renorm_constant(h1) * renorm_constant(h2))
-    val = pref * ((d + 1.0) ** s + np.abs(d - 1.0) ** s - 2.0 * d ** s)
+    val = _increment_covariance(d, h1, h2, renorm_constant(h1),
+                                renorm_constant(h2))
     return float(val) if np.ndim(val) == 0 else val
 
 
+def _increment_covariance(d, h1, h2, c1, c2):
+    """:func:`increment_field_covariance` at lag ``d`` >= 0 from the
+    normalization constants c1 = c(h1), c2 = c(h2), precomputed per index."""
+    s = h1 + h2
+    pref = 0.5 * renorm_constant_sq(0.5 * s) / (c1 * c2)
+    return pref * ((d + 1.0) ** s + np.abs(d - 1.0) ** s - 2.0 * d ** s)
+
+
 # --------------------------------------------------------------------------
-# fGn synthesis (circulant embedding)
+# coupled fGn synthesis (multivariate circulant embedding)
 # --------------------------------------------------------------------------
 
-def _circulant_eigenvalues(h, n):
-    rho = fgn_covariance(h, np.arange(n + 1))
-    return np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real
+def _embedding_spectrum(levels, n):
+    """Spectra, shape (n+1, L, L), of the size-2n circulant embedding of the
+    lag covariances of Y_a(j) = m(j, levels[a]) (fGn form on the diagonal).
+    They are real and even, so each spectrum is real symmetric and frequency
+    2n - m repeats m."""
+    h = np.asarray(levels, dtype=float)
+    c = renorm_constant(h)
+    lags = np.arange(n + 1, dtype=float)
+    spec = np.empty((n + 1, h.size, h.size))
+    for a in range(h.size):
+        for b in range(a, h.size):
+            cov = (fgn_covariance(h[a], lags) if a == b else
+                   _increment_covariance(lags, h[a], h[b], c[a], c[b]))
+            spec[:, a, b] = spec[:, b, a] = np.fft.fft(
+                np.concatenate([cov, cov[-2:0:-1]]))[:n + 1].real
+    return spec
 
 
-def synthesize_fgn(h, n, seed) -> Trajectory:
-    """Exact synthesis of n samples of fGn(H) by circulant embedding.
+@functools.lru_cache(maxsize=2)
+def _embedding_factor(levels, n):
+    """F with 2n F F^T the embedding spectrum at each frequency, its
+    negative eigenvalues clipped; SynthesisError when more than _CLIP_TOL of
+    the eigenvalue mass is clipped."""
+    w, v = np.linalg.eigh(_embedding_spectrum(levels, n))
+    share = -float(w[w < 0.0].sum()) / float(np.abs(w).sum())
+    if share > _CLIP_TOL:
+        raise SynthesisError(f"circulant embedding negative beyond tolerance: "
+                             f"{share:.2e} of its mass clipped (n = {n}, "
+                             f"levels {levels})")
+    v *= np.sqrt(np.clip(w, 0.0, None) / (2 * n))[:, None, :]
+    v.flags.writeable = False           # shared by every caller of the cache
+    return v
 
-    The minimal embedding (size 2n) is nonnegative definite for every H
-    (Craigmile 2003, J. Time Series Anal. 24:5); a spectrum negative beyond
-    _FGN_NEG_TOL fails loudly rather than being clipped.
-    """
-    h = validate_hurst(h)
+
+def synthesize_coupled_fgn(levels, n, seed) -> np.ndarray:
+    """n samples, shape (n, L), of the coupled noises Y_a(j) = m(j, levels[a])
+    by circulant embedding: exact up to the clipped eigenvalue mass (none
+    for one level, fGn: Craigmile 2003, J. Time Series Anal. 24:5)."""
+    levels = tuple(float(validate_hurst(h)) for h in levels)
     n = int(n)
     if n < 2:
         raise DomainError("need at least two samples")
-    lam = _circulant_eigenvalues(h, n)
-    if lam.min() < -_FGN_NEG_TOL * lam.max():
-        raise SynthesisError(
-            f"circulant spectrum negative beyond tolerance (min {lam.min():.3e}) "
-            f"for H = {h} and n = {n}")
-    lam = np.clip(lam, 0.0, None)
-    g = np.random.default_rng(seed).standard_normal(2 * n)
-    z = np.empty(2 * n, dtype=complex)
-    z[0] = g[0]
-    z[n] = g[1]
-    half = (g[2:n + 1] + 1j * g[n + 1:]) / math.sqrt(2.0)
-    z[1:n] = half
-    z[n + 1:] = np.conj(half[::-1])
-    y = np.fft.fft(np.sqrt(lam / (2 * n)) * z)
-    return Trajectory(np.arange(n, dtype=float), y.real[:n],
+    f = _embedding_factor(levels, n)
+    g = np.random.default_rng(seed).standard_normal((2 * n, len(levels)))
+    # conjugate Hermitian noise at m = 0..n as (real, imaginary) pairs
+    z = np.zeros((n + 1, len(levels), 2))
+    z[[0, n], :, 0] = g[:2]
+    z[1:n] = np.stack([g[2:n + 1], -g[n + 1:]], axis=-1) / math.sqrt(2.0)
+    x = np.matmul(f, z).view(complex)[..., 0]
+    return np.fft.irfft(x, 2 * n, axis=0, norm="forward")[:n]
+
+
+def synthesize_fgn(h, n, seed) -> Trajectory:
+    """Exact synthesis of n samples of fGn(H): the one-level case of
+    :func:`synthesize_coupled_fgn`."""
+    h = validate_hurst(h)
+    y = synthesize_coupled_fgn((h,), n, seed)[:, 0]
+    return Trajectory(np.arange(y.size, dtype=float), y,
                       meta={"generator": "fgn-circulant", "h": h,
-                            "embedding": n, "seed": _seed_repr(seed)})
+                            "embedding": y.size, "seed": _seed_repr(seed)})
 
 
 def _seed_repr(seed):
@@ -335,40 +373,6 @@ def _seed_repr(seed):
 # --------------------------------------------------------------------------
 # shared-noise spectral field
 # --------------------------------------------------------------------------
-
-def _fold_size(dz, dx, span, x_max):
-    """FFT length N with dz*dx ~= 2*pi/N, or None when the resulting worst-case
-    phase error over the whole grid would exceed 1e-3 rad."""
-    ratio = 2.0 * np.pi / (dz * dx)
-    n = int(round(ratio))
-    if n < 2:
-        return None
-    phase_err = abs(ratio - n) / ratio * span * x_max
-    return n if phase_err < 1e-3 else None
-
-
-def _fold_length(z, grid_spec):
-    """FFT length of the fold for depth grid ``z``; one depth is a trivial
-    fold of length 1.  Raises when the grid would alias or is not
-    commensurate with the frequency spacing."""
-    span = float(z[-1] - z[0])
-    phase = grid_spec.dx * (span + _KERNEL_REACH)
-    if phase > 0.5 * np.pi * (1.0 + 1e-9):
-        raise ConfigurationError(
-            "frequency spacing too coarse for the depth span: "
-            f"dx * span = {phase:.3f} exceeds pi/2, the sampled field would alias "
-            "(wrap within its synthesis period)")
-    if z.size == 1:
-        return 1
-    dz = float(z[1] - z[0])
-    nfold = _fold_size(dz, grid_spec.dx, span, grid_spec.x_max)
-    if nfold is None or nfold < z.size:
-        raise ConfigurationError(
-            f"frequency spacing dx = {grid_spec.dx:.6g} is not commensurate "
-            f"with the depth spacing dz = {dz:.6g}: dz * dx must be 2*pi/N for "
-            f"an integer N >= {z.size}")
-    return nfold
-
 
 class _SpectralContext:
     """Noise-independent node data for one frequency grid.
@@ -424,17 +428,7 @@ class _SpectralContext:
         return self._stats[key]
 
 
-_CTX_CACHE: dict = {}
-
-
-def _spectral_context(grid_spec) -> _SpectralContext:
-    ctx = _CTX_CACHE.get(grid_spec)
-    if ctx is None:
-        ctx = _SpectralContext(grid_spec)
-        if len(_CTX_CACHE) >= 2:
-            _CTX_CACHE.pop(next(iter(_CTX_CACHE)))
-        _CTX_CACHE[grid_spec] = ctx
-    return ctx
+_spectral_context = functools.lru_cache(maxsize=2)(_SpectralContext)
 
 
 def _field_columns(h_values, z, ctx, noise, nfold):
@@ -464,16 +458,13 @@ def _field_columns(h_values, z, ctx, noise, nfold):
     return out
 
 
-def synthesize_field_grid(h_values, z_grid, *, grid_spec=None,
-                          seed=0) -> FieldGrid:
+def synthesize_field_grid(h_values, z_grid, *, seed=0) -> FieldGrid:
     """Sample the coupled field m(z_j, H_i) for several indices at once.
 
     All columns are driven by one Hermitian complex Gaussian noise on the
-    frequency grid, so they are perfectly coupled: requesting the same index
-    twice returns identical samples.  Each column's discretized variance is
-    checked against 1 within 2%.  ``grid_spec`` defaults to
-    :meth:`FrequencyGridSpec.for_grid`; an explicit one must be commensurate
-    with the depth spacing.
+    frequency grid :meth:`FrequencyGridSpec.for_grid`, so they are perfectly
+    coupled: requesting the same index twice returns identical samples.
+    Each column's discretized variance is checked against 1 within 2%.
     """
     z = np.asarray(z_grid, dtype=float)
     if z.ndim != 1 or z.size < 1:
@@ -483,9 +474,11 @@ def synthesize_field_grid(h_values, z_grid, *, grid_spec=None,
         if dzs.min() <= 0 or not np.allclose(dzs, dzs[0], rtol=1e-9):
             raise ConfigurationError("depth grid must be uniform and increasing")
     hs = [validate_hurst(h) for h in np.atleast_1d(h_values)]
-    if grid_spec is None:
-        grid_spec = FrequencyGridSpec.for_grid(z)
-    nfold = _fold_length(z, grid_spec)
+    grid_spec = FrequencyGridSpec.for_grid(z)
+    # for_grid makes dz * dx = 2*pi/nfold and dx * (span + 1) <= pi/2, so the
+    # fold does not alias; one depth is a trivial fold of length 1
+    nfold = (1 if z.size == 1 else
+             int(round(2.0 * np.pi / (float(z[1] - z[0]) * grid_spec.dx))))
 
     ctx = _spectral_context(grid_spec)
     rng = np.random.default_rng(seed)
@@ -495,48 +488,54 @@ def synthesize_field_grid(h_values, z_grid, *, grid_spec=None,
 
     samples = _field_columns(hs, z, ctx, noise, nfold)
     var, cross = ctx.column_stats(hs)
-    if np.any(np.abs(var - 1.0) > _VAR_TOL):
-        worst = float(np.abs(var - 1.0).max())
+    dev = np.abs(var - 1.0)
+    if np.any(dev > _VAR_TOL):
+        i = int(np.argmax(dev))
         raise ConfigurationError(
-            f"discretized column variance off by {worst:.3%} (> {_VAR_TOL:.1%}); "
-            "refine the frequency grid")
+            f"discretized column variance off by {dev[i]:.3%} "
+            f"(> {_VAR_TOL:.1%}) at field index {hs[i]:.4g}: the spectral "
+            "grid cannot resolve indices this close to 1")
     return FieldGrid(z_grid=z, h_values=np.asarray(hs), samples=samples,
                      grid_spec=grid_spec, column_variance=var,
                      meta={"seed": _seed_repr(seed), "adjacent_covariance": cross})
 
 
-def sample_field_diagonal(h_of_z, z_grid, *, grid_spec=None, seed=0,
-                          level_spacing=0.01) -> tuple[np.ndarray, dict]:
-    """Samples m(z_j, h(z_j)) along a depth-varying index profile.
+def _blend_levels(h, levels, columns, var, cross):
+    """Values at the indices ``h`` from the columns of an index ladder: the
+    linear blend of the bracketing levels, rescaled by their variances and
+    adjacent covariances to the interpolated variance."""
+    if levels.size == 1:
+        return columns[:, 0].copy()
+    idx = np.clip(np.searchsorted(levels, h, side="right") - 1, 0,
+                  levels.size - 2)
+    w = (h - levels[idx]) / (levels[idx + 1] - levels[idx])
+    rows = np.arange(h.size)
+    blend = (1.0 - w) * columns[rows, idx] + w * columns[rows, idx + 1]
+    blend_var = ((1.0 - w) ** 2 * var[idx] + w ** 2 * var[idx + 1]
+                 + 2.0 * w * (1.0 - w) * cross[idx])
+    target_var = (1.0 - w) * var[idx] + w * var[idx + 1]
+    return blend * np.sqrt(target_var / blend_var)
 
-    Exact for constant profiles.  Varying profiles are evaluated on a ladder
-    of anchor indices (shared noise) and blended linearly between bracketing
-    levels; the blend is rescaled with the exact discrete level covariances so
-    the marginal variance matches the single-level construction.
-    """
+
+def sample_field_diagonal(h_of_z, z_grid, *, seed=0,
+                          level_spacing=0.01) -> tuple[np.ndarray, dict]:
+    """Samples m(z_j, h(z_j)) along an index profile: exact for a constant
+    one, else blended by :func:`_blend_levels` from a ladder of anchor
+    indices (shared noise) with their discrete variances and covariances."""
     h = np.asarray(h_of_z, dtype=float)
     z = np.asarray(z_grid, dtype=float)
     if h.shape != z.shape:
         raise ConfigurationError("index profile and depth grid shapes differ")
     hmin, hmax = float(h.min()), float(h.max())
     if hmax - hmin < 1e-12:
-        fg = synthesize_field_grid([hmin], z, grid_spec=grid_spec, seed=seed)
-        return fg.samples[:, 0].copy(), {"levels": fg.h_values}
-    n_lev = max(2, int(math.ceil((hmax - hmin) / level_spacing)) + 1)
-    levels = np.linspace(hmin, hmax, n_lev)
-    fg = synthesize_field_grid(levels, z, grid_spec=grid_spec, seed=seed)
-    var = fg.column_variance
-    cross = fg.meta["adjacent_covariance"]
-
-    idx = np.clip(np.searchsorted(levels, h, side="right") - 1, 0, n_lev - 2)
-    w = (h - levels[idx]) / (levels[idx + 1] - levels[idx])
-    rows = np.arange(z.size)
-    blend = (1.0 - w) * fg.samples[rows, idx] + w * fg.samples[rows, idx + 1]
-    blend_var = ((1.0 - w) ** 2 * var[idx] + w ** 2 * var[idx + 1]
-                 + 2.0 * w * (1.0 - w) * cross[idx])
-    target_var = (1.0 - w) * var[idx] + w * var[idx + 1]
-    values = blend * np.sqrt(target_var / blend_var)
-    return values, {"levels": levels}
+        levels = np.array([hmin])
+    else:
+        n_lev = max(2, int(math.ceil((hmax - hmin) / level_spacing)) + 1)
+        levels = np.linspace(hmin, hmax, n_lev)
+    fg = synthesize_field_grid(levels, z, seed=seed)
+    values = _blend_levels(h, levels, fg.samples, fg.column_variance,
+                          fg.meta["adjacent_covariance"])
+    return values, {"levels": fg.h_values}
 
 
 # --------------------------------------------------------------------------

@@ -7,8 +7,8 @@ Four families, all normalized to start at 0 on t in [0, 1]:
   K-th Hermite polynomial of long-memory Gaussian noise, the discrete
   non-central-limit construction),
 * the multifractional Gaussian process driven by a depth-varying index
-  (partial sums of coupled fractional white noises sharing one spectral
-  noise, weighted N^(-h(j/N))),
+  (partial sums of coupled fractional white noises, weighted N^(-h(j/N)),
+  blended from an index ladder sampled jointly by circulant embedding),
 * its rank-K generalization combining both.
 
 Every path has unit variance at t = 1 exactly: rank K divides by the sd of
@@ -26,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .gaussian_field import (FrequencyGridSpec, Trajectory,
+from .gaussian_field import (Trajectory, _blend_levels, _increment_covariance,
                              asymptotic_covariance_scale, fgn_covariance,
-                             increment_field_covariance, sample_field_diagonal,
-                             synthesize_fgn, validate_hurst)
+                             increment_field_covariance, renorm_constant,
+                             synthesize_coupled_fgn, synthesize_fgn,
+                             validate_hurst)
 from .hermite import hermite_poly
 from .quadrature import geometric_edges, panel_count, panel_nodes
 
@@ -43,13 +44,10 @@ __all__ = [
     "sh_covariance",
 ]
 
-# spectral cutoff for the coupled-noise construction: the partial sums are
-# low-frequency dominated, so 16*pi per unit micro step keeps the truncated
-# variance share below 0.5% at a quarter of the media-sampling cost
-_SH_X_MAX_FACTOR = 16.0 * np.pi
 # entries per row block of the rank-K normalization sum
 _PAIR_BLOCK = 1 << 15
-# index-ladder spacing of the coupled noise along a varying profile
+# index-ladder spacing of the coupled noise along a varying profile; the
+# levels sit on multiples of it, so profiles with one range share a factor
 _SH_LEVEL_SPACING = 0.02
 # covariance oracle: half-width of the analytic diagonal band relative to
 # max(z1, z2), and the Gauss-Legendre order of the outer panels
@@ -100,12 +98,14 @@ def _weighted_hermite_sum_std(h_field, weights, k):
     increment_field_covariance(j, l, h_field[j], h_field[l]), evaluated in
     blocks of rows j against l >= min(j): O(n^2) time, O(n) memory."""
     n = h_field.size
+    c = renorm_constant(h_field)
     step = max(1, _PAIR_BLOCK // n)
     var = 0.0
     for a in range(0, n, step):
         j = np.arange(a, min(a + step, n))[:, None]
         l = np.arange(a, n)
-        r = increment_field_covariance(j, l, h_field[j], h_field[l])
+        r = _increment_covariance(np.abs(j - l).astype(float), h_field[j],
+                                  h_field[l], c[j], c[l])
         # weight 2 for l > j (the pair and its mirror), 1 for l = j, 0 for
         # l < j (counted by an earlier block)
         var += float(weights[j[:, 0]] @ ((np.sign(l - j) + 1.0) * r ** k)
@@ -140,28 +140,29 @@ def simulate_hermite(h, k, n, seed) -> Trajectory:
                             "seed": y.meta.get("seed")})
 
 
-def _coupled_noise(h_field, n, seed):
-    zeta = np.arange(1, n + 1, dtype=float)
-    grid_spec = FrequencyGridSpec(x_max=_SH_X_MAX_FACTOR,
-                                  dx=2.0 * np.pi / (4.0 * (n + 1.0)))
-    values, _ = sample_field_diagonal(h_field, zeta, grid_spec=grid_spec,
-                                      seed=seed,
-                                      level_spacing=_SH_LEVEL_SPACING)
-    return values
+def sample_field_diagonal(h_field, n, seed):
+    """Coupled noise m(j, h_field[j - 1]), j = 1..n, blended from the levels
+    on multiples of _SH_LEVEL_SPACING that bracket h_field (a level at 1
+    becomes max h_field; a constant index is one level)."""
+    lo, hi = float(h_field.min()), float(h_field.max())
+    if hi - lo < 1e-12:
+        levels = np.array([lo])
+    else:
+        k = np.arange(math.floor(lo / _SH_LEVEL_SPACING),
+                      math.ceil(hi / _SH_LEVEL_SPACING) + 1)
+        levels = _SH_LEVEL_SPACING * k
+        levels[levels >= 1.0] = hi
+    y = synthesize_coupled_fgn(levels, n, seed)
+    cross = increment_field_covariance(0.0, 0.0, levels[:-1], levels[1:])
+    values = _blend_levels(h_field, levels, y, np.ones(levels.size), cross)
+    return values, {"levels": levels}
 
 
 def simulate_sh(h_profile, n, seed) -> Trajectory:
     """Multifractional limit process on [0, 1]: partial sums
-    sum_{j <= N t} N^(-h(j/N)) Y_j(h(j/N)) with one shared spectral noise
-    coupling the fractional white noises Y(.) across indices."""
-    n = int(n)
-    if n < 2 ** 8:
-        raise DomainError("need at least 2^8 increments")
-    h = _profile_values(h_profile, n)
-    y = _coupled_noise(h, n, seed)
-    values = np.concatenate([[0.0], np.cumsum(float(n) ** (-h) * y)])
-    return Trajectory(np.arange(n + 1) / n, values,
-                      meta={"kind": "sh", "n": n, "seed": repr(seed)})
+    sum_{j <= N t} N^(-h(j/N)) Y_j(h(j/N)) of coupled fractional white
+    noises Y(.); :func:`simulate_sh_hermite` at K = 1."""
+    return simulate_sh_hermite(h_profile, 1, n, seed)
 
 
 def simulate_sh_hermite(h_profile, k, n, seed) -> Trajectory:
@@ -182,7 +183,7 @@ def simulate_sh_hermite(h_profile, k, n, seed) -> Trajectory:
         raise DomainError("need at least 2^8 increments")
     h = _profile_values(h_profile, n)
     h_field = (h - 1.0) / k + 1.0
-    y = _coupled_noise(h_field, n, seed)
+    y, _ = sample_field_diagonal(h_field, n, seed)
     p = hermite_poly(k, y)
     weights = float(n) ** (-h)
     if k == 1:
@@ -193,8 +194,8 @@ def simulate_sh_hermite(h_profile, k, n, seed) -> Trajectory:
         scale = _weighted_hermite_sum_std(h_field, weights, k)
     values = np.concatenate([[0.0], np.cumsum(weights * p)]) / scale
     return Trajectory(np.arange(n + 1) / n, values,
-                      meta={"kind": "sh_hermite", "k": k, "n": n,
-                            "seed": repr(seed)})
+                      meta={"kind": "sh" if k == 1 else "sh_hermite", "k": k,
+                            "n": n, "seed": repr(seed)})
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Every exported name resolves, so a removal cannot leave a stale export."""
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +29,14 @@ def test_package_names_are_declared():
         if declared is not None and name not in declared:
             undeclared.append(name)
     assert not undeclared
+
+
+def test_perfbench_hooks_resolve(monkeypatch):
+    """Every layer function the benchmark tracer patches exists under its
+    name, so a rename fails here rather than in ``Tracer.install``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _, _ in tracer.HOOKS if attr not in vars(owner)]
+    assert not missing

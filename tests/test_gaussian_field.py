@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrwave import (ConfigurationError, DomainError, FrequencyGridSpec,
-                    SynthesisError, Trajectory, asymptotic_covariance_scale,
+from lrwave import (ConfigurationError, DomainError, SynthesisError,
+                    Trajectory, asymptotic_covariance_scale,
                     fgn_covariance, field_covariance,
                     increment_field_covariance,
                     renorm_constant, renorm_constant_sq,
@@ -97,14 +97,73 @@ class TestSynthesizeFgn:
                                    65536])
     def test_minimal_embedding_nonnegative(self, n):
         for h in np.linspace(0.01, 0.99, 99):
-            lam = gf._circulant_eigenvalues(h, n)
-            assert lam.min() >= -gf._FGN_NEG_TOL * lam.max()
+            lam = gf._embedding_spectrum((h,), n)[:, 0, 0]
+            assert lam.min() >= -1e-9 * lam.max()
 
     def test_negative_embedding_raises(self, monkeypatch):
-        monkeypatch.setattr(gf, "_circulant_eigenvalues",
-                            lambda h, n: np.array([1.0, -0.5, 1.0, 0.5]))
+        gf._embedding_factor.cache_clear()
+        spectrum = np.array([1.0, -0.5, 1.0])[:, None, None]
+        monkeypatch.setattr(gf, "_embedding_spectrum", lambda levels, n: spectrum)
         with pytest.raises(SynthesisError, match="negative"):
             synthesize_fgn(0.75, 2, seed=0)
+
+    @pytest.mark.parametrize("h", [0.6, 0.75, 0.85])
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_matches_direct_embedding(self, h, n):
+        # the arithmetic of a standalone fGn synthesizer: the full embedding
+        # spectrum and one complex FFT of the Hermitian noise
+        rho = fgn_covariance(h, np.arange(n + 1))
+        lam = np.clip(np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real,
+                      0.0, None)
+        g = np.random.default_rng(5).standard_normal(2 * n)
+        z = np.empty(2 * n, dtype=complex)
+        z[0], z[n] = g[0], g[1]
+        half = (g[2:n + 1] + 1j * g[n + 1:]) / np.sqrt(2.0)
+        z[1:n] = half
+        z[n + 1:] = np.conj(half[::-1])
+        direct = np.fft.fft(np.sqrt(lam / (2 * n)) * z).real[:n]
+        y = synthesize_fgn(h, n, seed=5).values
+        assert np.max(np.abs(y - direct)) <= 1e-15 * np.max(np.abs(direct))
+
+
+def _realized_lag_covariance(levels, n):
+    """Lag covariances k = 0..n-1 the cached factor realizes: the inverse
+    FFT of 2n F F^T, shape (n, L, L)."""
+    f = gf._embedding_factor(tuple(levels), n)
+    spec = 2 * n * (f @ np.swapaxes(f, 1, 2))
+    return np.fft.irfft(spec, 2 * n, axis=0)[:n]
+
+
+class TestCoupledFgn:
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("levels", [0.02 * np.arange(27, 44),
+                                        0.02 * np.arange(38, 48)])
+    def test_realized_covariance_audit(self, levels, n):
+        realized = _realized_lag_covariance(levels, n)
+        lags = np.arange(n, dtype=float)
+        for a, ha in enumerate(levels):
+            for b, hb in enumerate(levels):
+                exact = increment_field_covariance(lags, 0.0, ha, hb)
+                assert np.max(np.abs(realized[:, a, b] - exact)) <= 5e-4
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_one_level_audit_exact(self, n):
+        realized = _realized_lag_covariance([0.75], n)[:, 0, 0]
+        exact = fgn_covariance(0.75, np.arange(n))
+        assert np.max(np.abs(realized - exact)) <= 1e-15
+
+    def test_clipped_mass_above_tolerance_raises(self, monkeypatch):
+        # the 0.54-0.86 ladder clips about 5e-5 of its mass at n = 256
+        gf._embedding_factor.cache_clear()
+        monkeypatch.setattr(gf, "_CLIP_TOL", 1e-9)
+        with pytest.raises(SynthesisError, match="negative"):
+            gf.synthesize_coupled_fgn(0.02 * np.arange(27, 44), 256, seed=0)
+
+    def test_shape_and_one_level_is_fgn(self):
+        y = gf.synthesize_coupled_fgn([0.6, 0.8], 300, seed=4)
+        assert y.shape == (300, 2)
+        one = gf.synthesize_coupled_fgn([0.7], 300, seed=4)[:, 0]
+        assert np.array_equal(one, synthesize_fgn(0.7, 300, seed=4).values)
 
 
 class TestFieldGrid:
@@ -147,47 +206,34 @@ class TestFieldGrid:
         assert z_score < 3.0
 
     def test_single_point_variance(self):
-        # one depth is a trivial fold; the low cutoff keeps the discretized
-        # variance visibly below 1 (by 1.2%)
-        spec = FrequencyGridSpec(x_max=12.0, dx=0.25)
+        # one depth is a trivial fold of length 1
         m = 400
         vals = []
         for i in range(m):
-            fg = synthesize_field_grid([0.75], np.array([0.0]), grid_spec=spec,
-                                       seed=(79, i))
+            fg = synthesize_field_grid([0.75], np.array([0.0]), seed=(79, i))
             vals.append(fg.samples[0, 0])
         var_emp = np.var(vals)
-        x, w = spec.positive_nodes()
+        x, w = fg.grid_spec.positive_nodes()
         abs2 = np.sinc(x / (2.0 * np.pi)) ** 2      # |psi|^2 = sin^2(x/2)/(x/2)^2
         var_disc = (2.0 * np.sum(w * abs2 * x ** (1.0 - 2 * 0.75))
                     / renorm_constant_sq(0.75))
-        assert abs(var_disc - 1.0) > 0.005
-        fg = synthesize_field_grid([0.75], np.array([0.0]), grid_spec=spec,
-                                   seed=0)
         assert fg.column_variance[0] == pytest.approx(var_disc, rel=1e-12)
         assert var_emp == pytest.approx(var_disc, rel=0.3)
 
-    def test_aliasing_guard(self):
-        spec = FrequencyGridSpec(x_max=64.0, dx=1.0)
-        with pytest.raises(ConfigurationError, match="alias"):
-            synthesize_field_grid([0.75], np.arange(512.0), grid_spec=spec)
-
-    def test_noncommensurate_grid_spec_rejected(self):
-        # dz * dx = 0.0026 is not 2*pi over an integer
-        spec = FrequencyGridSpec(x_max=64.0, dx=0.0026)
-        with pytest.raises(ConfigurationError, match="commensurate"):
-            synthesize_field_grid([0.75], np.arange(512.0), grid_spec=spec)
+    def test_index_near_one_names_it(self):
+        with pytest.raises(ConfigurationError, match="0.97.*close to 1"):
+            synthesize_field_grid([0.6, 0.97], np.arange(64.0))
 
     def test_default_grid_is_commensurate(self):
         # micro grid of a medium at eps = 0.03: 1/eps^2 is not an integer
         n = 1112
         z = (np.arange(n) + 0.5) / n / 0.03 ** 2
-        spec = FrequencyGridSpec.for_grid(z)
+        spec = gf.FrequencyGridSpec.for_grid(z)
         ratio = 2.0 * np.pi / ((z[1] - z[0]) * spec.dx)
         assert ratio == pytest.approx(round(ratio), abs=1e-9)
         assert round(ratio) >= 4 * n
         # where the span-based spacing is commensurate it is kept
-        assert FrequencyGridSpec.for_grid(np.arange(100.0)).dx == 2 * np.pi / 400
+        assert gf.FrequencyGridSpec.for_grid(np.arange(100.0)).dx == 2 * np.pi / 400
 
     def test_fold_matches_direct_sum_on_noninteger_grid(self):
         n, h, seed = 1112, 0.6, 11

@@ -9,6 +9,7 @@ from lrwave import (DomainError, LimitSpec, asymptotic_covariance_scale,
                     hermite_covariance, increment_field_covariance,
                     profile_from_config, sh_covariance, simulate,
                     simulate_hermite, simulate_sh, simulate_sh_hermite)
+from lrwave import gaussian_field as gf
 from lrwave import limits as lm
 from lrwave.quadrature import geometric_edges, panel_nodes
 
@@ -149,7 +150,49 @@ class TestSimulateShHermite:
         assert len(calls) == 1
 
 
+class TestNearOneProfiles:
+    """Profiles reaching field indices near 1: the ladder's top level stays
+    below 1 and the coupled noise is exact there."""
+
+    @pytest.mark.parametrize("top", [0.95, 0.99])
+    def test_simulate_sh(self, top):
+        prof = lambda u: 0.6 + (top - 0.6) * np.asarray(u)
+        tr = simulate_sh(prof, 512, seed=5)
+        assert tr.values[0] == 0.0 and np.all(np.isfinite(tr.values))
+
+    @pytest.mark.parametrize("top", [0.95, 0.99])
+    def test_simulate_sh_hermite_rank_two(self, top):
+        prof = lambda u: 0.6 + (top - 0.6) * np.asarray(u)
+        tr = simulate_sh_hermite(prof, 2, 256, seed=5)
+        assert tr.values[0] == 0.0 and np.all(np.isfinite(tr.values))
+
+    def test_ladder_on_lattice_below_one(self):
+        h = 0.55 + 0.44 * np.arange(1, 257) / 256
+        _, info = lm.sample_field_diagonal(h, 256, seed=0)
+        levels = info["levels"]
+        assert levels[0] <= h.min() and levels[-1] == h.max() < 1.0
+        assert np.allclose(levels[:-1] / lm._SH_LEVEL_SPACING,
+                           np.arange(27, 27 + levels.size - 1))
+
+    def test_profiles_with_one_range_share_levels(self):
+        a, b = _figure_profiles()
+        u = np.arange(1, 1025) / 1024
+        _, la = lm.sample_field_diagonal(a(u), 1024, seed=0)
+        _, lb = lm.sample_field_diagonal(b(u), 1024, seed=0)
+        assert np.array_equal(la["levels"], lb["levels"])
+
+
 class TestRankKNormalization:
+    def test_hoisted_constants_bit_identical(self):
+        n = 64
+        h = 0.6 + 0.2 * np.arange(1, n + 1) / n
+        c = gf.renorm_constant(h)
+        j, l = np.arange(n)[:, None], np.arange(n)
+        hoisted = gf._increment_covariance(np.abs(j - l).astype(float), h[j],
+                                           h[l], c[j], c[l])
+        assert np.array_equal(hoisted,
+                              increment_field_covariance(j, l, h[j], h[l]))
+
     @pytest.mark.parametrize("block", [None, 200])
     @pytest.mark.parametrize("k", [2, 3])
     def test_pair_sum_matches_dense_covariance(self, monkeypatch, k, block):
