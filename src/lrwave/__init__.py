@@ -18,8 +18,8 @@ from .gaussian_field import (Trajectory, asymptotic_covariance_scale,
                              synthesize_field_grid)
 from .hermite import (HermiteSpec, Truncation, composed_covariance,
                       hermite_coeffs, hermite_poly, truncation)
-from .limits import (LimitSpec, hermite_covariance, sh_covariance, simulate,
-                     simulate_hermite, simulate_sh, simulate_sh_hermite)
+from .limits import (hermite_covariance, sh_covariance, simulate,
+                     simulate_hermite, simulate_sh)
 from .medium import (A2Report, A3Report, MediumRealization, MediumSpec,
                      VTriple, build_medium, check_a2, check_a3,
                      constant_profile, linear_profile, periodic_profile,

@@ -143,44 +143,33 @@ def _run_sweep(cfg: ExperimentConfig, out, artifacts):
 
 
 def _run_limits(cfg: ExperimentConfig, out, artifacts):
-    """Trajectory CSVs of the limiting processes for the configured index
-    profiles, plus a covariance-oracle grid per profile as a regression
-    fixture (external plotting; no rendering here)."""
-    from .limits import LimitSpec, sh_covariance, simulate
+    """Trajectory CSVs of the configured limiting process, one per constant
+    index or index profile, plus a covariance-oracle grid per rank-1 profile
+    as a regression fixture (external plotting; no rendering here)."""
+    from .limits import sh_covariance, simulate
     from .medium import profile_from_config
     from .serialize import write_csv
 
-    count = 0
-    if cfg.limits.kind in ("fbm", "hermite"):
-        spec = LimitSpec(kind=cfg.limits.kind, n=cfg.limits.n, h=cfg.limits.h,
-                         k=cfg.limits.k, seed=(cfg.seed, 0))
-        artifacts.append(write_trajectory(
-            out / f"{cfg.limits.kind}_h{cfg.limits.h}.csv", simulate(spec)))
-        count += 1
+    lim = cfg.limits
+    if lim.kind in ("fbm", "hermite"):
+        paths = [(f"{lim.kind}_h{lim.h}", lim.h)]
     else:
-        if not cfg.limits.profiles:
-            raise ConfigurationError(
-                f"limits.profiles is empty; kind {cfg.limits.kind!r} needs "
-                "at least one index profile")
-        zs = (0.25, 0.5, 0.75, 1.0)
-        for j, prof_cfg in enumerate(cfg.limits.profiles):
-            prof = profile_from_config(prof_cfg)
-            spec = LimitSpec(kind=cfg.limits.kind, n=cfg.limits.n,
-                             h_profile=prof, k=cfg.limits.k, seed=(cfg.seed, j))
-            artifacts.append(write_trajectory(
-                out / f"sh_{prof.name}_{j}.csv", simulate(spec)))
-            if cfg.limits.k == 1:
-                z1 = [a for a in zs for _ in zs]
-                z2 = list(zs) * len(zs)
-                # the covariance is symmetric: evaluate z1 <= z2, mirror the rest
-                upper = {(a, b): sh_covariance(prof, a, b)
-                         for a, b in zip(z1, z2) if a <= b}
-                cov = [upper[min(a, b), max(a, b)] for a, b in zip(z1, z2)]
-                artifacts.append(write_csv(
-                    out / f"sh_{prof.name}_{j}_covariance.csv",
-                    ["z1", "z2", "cov"], [z1, z2, cov]))
-            count += 1
-    return {"trajectories": count}
+        profiles = [profile_from_config(p) for p in lim.profiles]
+        paths = [(f"sh_{prof.name}_{j}", prof) for j, prof in enumerate(profiles)]
+    zs = (0.25, 0.5, 0.75, 1.0)
+    z1 = [a for a in zs for _ in zs]
+    z2 = list(zs) * len(zs)
+    for j, (stem, index) in enumerate(paths):
+        artifacts.append(write_trajectory(
+            out / f"{stem}.csv", simulate(index, lim.k, lim.n, (cfg.seed, j))))
+        if callable(index) and lim.k == 1:
+            # the covariance is symmetric: evaluate z1 <= z2, mirror the rest
+            upper = {(a, b): sh_covariance(index, a, b)
+                     for a, b in zip(z1, z2) if a <= b}
+            cov = [upper[min(a, b), max(a, b)] for a, b in zip(z1, z2)]
+            artifacts.append(write_csv(out / f"{stem}_covariance.csv",
+                                       ["z1", "z2", "cov"], [z1, z2, cov]))
+    return {"trajectories": len(paths)}
 
 
 def _run_verify(cfg: ExperimentConfig, out, artifacts):

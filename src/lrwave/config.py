@@ -23,6 +23,7 @@ from .pulse import gaussian_source, ricker_source
 from .verify import TOLERANCES
 
 MODES = ("synth", "propagate", "sweep", "limits", "verify")
+LIMIT_KINDS = ("fbm", "hermite", "multifrac", "multifrac_hermite")
 
 _JSON_TYPES = {float: "a finite number", int: "an integer", str: "a string",
                dict: "a JSON object"}
@@ -160,8 +161,23 @@ class LimitsBlock:
     )
 
     def __post_init__(self):
+        if self.kind not in LIMIT_KINDS:
+            raise ConfigurationError(
+                f"unknown limits.kind {self.kind!r}; choose from {LIMIT_KINDS}")
         if self.n < 2:
             raise ConfigurationError("limits.n must be at least 2")
+        if self.k < 1 or (self.k > 1 and self.kind in ("fbm", "multifrac")):
+            raise ConfigurationError(
+                "limits.k must be 1 for fbm and multifrac, at least 1 "
+                f"otherwise; got {self.k} for kind {self.kind!r}")
+        if self.kind in ("fbm", "hermite"):
+            if self.h is None:
+                raise ConfigurationError(
+                    f"limits.h is required for kind {self.kind!r}")
+        elif not self.profiles:
+            raise ConfigurationError(
+                f"limits.profiles is empty; kind {self.kind!r} needs at "
+                "least one index profile")
         for i, prof in enumerate(self.profiles):
             _check_entry(profile_from_config, prof, "kind",
                          f"limits.profiles[{i}]")

@@ -80,7 +80,6 @@ class Trajectory:
 
     t_grid: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.t_grid, dtype=float)
@@ -359,9 +358,7 @@ def synthesize_fgn(h, n, seed) -> Trajectory:
     :func:`synthesize_coupled_fgn`."""
     h = validate_hurst(h)
     y = synthesize_coupled_fgn((h,), n, seed)[:, 0]
-    return Trajectory(np.arange(y.size, dtype=float), y,
-                      meta={"generator": "fgn-circulant", "h": h,
-                            "embedding": y.size, "seed": _seed_repr(seed)})
+    return Trajectory(np.arange(y.size, dtype=float), y)
 
 
 def _seed_repr(seed):

@@ -1,19 +1,24 @@
 """Simulation of the limiting travel-time processes and their covariances.
 
-Four families, all normalized to start at 0 on t in [0, 1]:
+One construction covers the four families, all starting at 0 on t in
+[0, 1]: partial sums of the K-th Hermite polynomial of a long-range Gaussian
+noise whose index follows a profile h on [0, 1].
 
-* fractional Brownian motion (Gaussian, constant index),
-* Hermite processes of rank K (non-Gaussian for K >= 2; partial sums of the
-  K-th Hermite polynomial of long-memory Gaussian noise, the discrete
-  non-central-limit construction),
-* the multifractional Gaussian process driven by a depth-varying index
-  (partial sums of coupled fractional white noises, weighted N^(-h(j/N)),
-  blended from an index ladder sampled jointly by circulant embedding),
-* its rank-K generalization combining both.
+* a constant index: the Hermite process of rank K (partial sums of P_K of
+  fGn, the discrete non-central-limit construction), fractional Brownian
+  motion at K = 1;
+* a varying index: the multifractional process (partial sums of coupled
+  fractional white noises weighted N^(-h(j/N)), blended from an index
+  ladder sampled jointly by circulant embedding) and, for K >= 2, its
+  rank-K generalization.
 
-Every path has unit variance at t = 1 exactly: rank K divides by the sd of
-sum_j w_j P_K(Y_j), sqrt(K! sum_{j,l} w_j w_l r_jl^K) since E[P_K(X) P_K(Y)]
-= K! cov(X, Y)^K, an O(n) lag sum for a constant index, O(n^2) otherwise.
+A constant index (any K) and a varying one at K >= 2 have unit variance at
+t = 1 exactly: the path is divided by the sd of sum_j w_j P_K(Y_j),
+sqrt(K! sum_{j,l} w_j w_l r_jl^K) since E[P_K(X) P_K(Y)] = K! cov(X, Y)^K,
+an O(n) lag sum for a constant index, O(n^2) otherwise.  A rank-1 varying
+profile is not rescaled: its variance at t = 1 is the weighted sum's
+(sh_covariance(h, 1, 1) in the limit: 0.9975 and 0.9963 for the default
+profiles).
 
 Covariance oracles: the fBm/Hermite closed form and the double integral of
 the asymptotic field covariance for the multifractional case.
@@ -21,7 +26,6 @@ the asymptotic field covariance for the multifractional case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,17 +33,16 @@ from .errors import DomainError
 from .gaussian_field import (Trajectory, _blend_levels, _increment_covariance,
                              asymptotic_covariance_scale, fgn_covariance,
                              increment_field_covariance, renorm_constant,
-                             synthesize_coupled_fgn, synthesize_fgn,
-                             validate_hurst)
+                             synthesize_coupled_fgn, validate_hurst)
+# unused here; kept as a module attribute that perfbench/tracer.py patches
+from .gaussian_field import synthesize_fgn  # noqa: F401
 from .hermite import hermite_poly
 from .quadrature import geometric_edges, panel_count, panel_nodes
 
 __all__ = [
-    "LimitSpec",
     "simulate",
     "simulate_hermite",
     "simulate_sh",
-    "simulate_sh_hermite",
     "hermite_covariance",
     "sh_covariance",
 ]
@@ -61,12 +64,12 @@ def _as_profile(h_profile):
     return lambda u: np.full_like(np.asarray(u, dtype=float), value)
 
 
-def _profile_values(h_profile, n):
-    prof = _as_profile(h_profile)
-    h = np.asarray(prof(np.arange(1, n + 1) / n), dtype=float)
-    if np.any(h <= 0.5) or np.any(h >= 1.0):
-        raise DomainError(
-            f"index profile leaves (1/2, 1): range [{h.min():.3f}, {h.max():.3f}]")
+def _checked_index(h, shape):
+    """Profile values broadcast to ``shape``; DomainError outside (1/2, 1)."""
+    h = np.broadcast_to(np.asarray(h, dtype=float), shape)
+    if not np.all((h > 0.5) & (h < 1.0)):
+        raise DomainError("index profile leaves (1/2, 1): "
+                          f"range [{h.min():.3f}, {h.max():.3f}]")
     return h
 
 
@@ -113,103 +116,74 @@ def _weighted_hermite_sum_std(h_field, weights, k):
     return math.sqrt(math.factorial(k) * var)
 
 
-def simulate_hermite(h, k, n, seed) -> Trajectory:
-    """Rank-K Hermite process by partial sums of P_K of exact fGn.
-
-    The driving noise has index (H - 1)/K + 1 so the K-th Hermite power
-    decays with exponent 2 - 2H; the variance at t = 1 is normalized to 1
-    exactly (finite-sample lag sum), making the covariance the fBm form for
-    every K.
-    """
-    h = float(h)
-    if not 0.5 < h < 1.0:
-        raise DomainError("limit index must lie in (1/2, 1)")
-    k = int(k)
-    if k < 1:
-        raise DomainError("rank must be a positive integer")
-    h_tilde = (h - 1.0) / k + 1.0
-    n = int(n)
-    if n < 2:
-        raise DomainError("need at least two increments")
-    y = synthesize_fgn(h_tilde, n, seed)
-    p = hermite_poly(k, y.values)
-    scale = _hermite_sum_std(h_tilde, k, n)
-    values = np.concatenate([[0.0], np.cumsum(p)]) / scale
-    return Trajectory(np.arange(n + 1) / n, values,
-                      meta={"kind": "hermite", "h": h, "k": k, "n": n,
-                            "seed": y.meta.get("seed")})
-
-
 def sample_field_diagonal(h_field, n, seed):
-    """Coupled noise m(j, h_field[j - 1]), j = 1..n, blended from the levels
-    on multiples of _SH_LEVEL_SPACING that bracket h_field (a level at 1
-    becomes max h_field; a constant index is one level)."""
+    """Coupled noise m(j, h_field[j - 1]), j = 1..n: for a constant (scalar)
+    index the one fGn column, else blended from the levels on multiples of
+    _SH_LEVEL_SPACING that bracket h_field (a level at 1 becomes max
+    h_field)."""
+    if np.ndim(h_field) == 0:
+        return (synthesize_coupled_fgn((h_field,), n, seed)[:, 0],
+                {"levels": np.array([h_field])})
     lo, hi = float(h_field.min()), float(h_field.max())
-    if hi - lo < 1e-12:
-        levels = np.array([lo])
-    else:
-        k = np.arange(math.floor(lo / _SH_LEVEL_SPACING),
-                      math.ceil(hi / _SH_LEVEL_SPACING) + 1)
-        levels = _SH_LEVEL_SPACING * k
-        levels[levels >= 1.0] = hi
+    k = np.arange(math.floor(lo / _SH_LEVEL_SPACING),
+                  math.ceil(hi / _SH_LEVEL_SPACING) + 1)
+    levels = _SH_LEVEL_SPACING * k
+    levels[levels >= 1.0] = hi
     y = synthesize_coupled_fgn(levels, n, seed)
     cross = increment_field_covariance(0.0, 0.0, levels[:-1], levels[1:])
     values = _blend_levels(h_field, levels, y, np.ones(levels.size), cross)
     return values, {"levels": levels}
 
 
-def simulate_sh(h_profile, n, seed) -> Trajectory:
-    """Multifractional limit process on [0, 1]: partial sums
-    sum_{j <= N t} N^(-h(j/N)) Y_j(h(j/N)) of coupled fractional white
-    noises Y(.); :func:`simulate_sh_hermite` at K = 1."""
-    return simulate_sh_hermite(h_profile, 1, n, seed)
+def simulate(h_profile, k, n, seed) -> Trajectory:
+    """Rank-K limit process at n + 1 points of [0, 1]: partial sums of P_K of
+    the coupled noise at field indices (h - 1)/K + 1, where h is the
+    constant index ``h_profile`` or the callable profile at j/n.
 
-
-def simulate_sh_hermite(h_profile, k, n, seed) -> Trajectory:
-    """Rank-K multifractional process: partial sums of P_K of the coupled
-    noise at field indices (h(.) - 1)/K + 1, weighted N^(-h(.)).
-
-    Reduces to :func:`simulate_sh` at K = 1 and matches
-    :func:`simulate_hermite` in law for constant profiles.  For K >= 2 the
-    path is divided by the exact sd of its end point, sqrt(K! * sum_{j,l}
-    w_j w_l r_jl^K) with w = N^(-h): O(N) for a constant profile, O(N^2)
-    for a varying one (about 0.05 s at N = 2^10, 0.8 s at 2^12).
+    A constant index (also a profile constant to 1e-12) gives the Hermite
+    process, fBm at K = 1: the sums of P_K of fGn divided by their exact sd,
+    sqrt(K! sum_l (n - |l|) rho(l)^K), so the covariance is the fBm form for
+    every K.  A varying index weights the increments N^(-h(j/N)); K = 1 is
+    not rescaled, K >= 2 is divided by the exact sd of its end point,
+    sqrt(K! sum_{j,l} w_j w_l r_jl^K), an O(n^2) sum (about 0.05 s at
+    n = 2^10, 0.8 s at 2^12).
     """
-    k = int(k)
+    k, n = int(k), int(n)
     if k < 1:
         raise DomainError("rank must be a positive integer")
-    n = int(n)
-    if n < 2 ** 8:
-        raise DomainError("need at least 2^8 increments")
-    h = _profile_values(h_profile, n)
+    if n < 2:
+        raise DomainError("need at least two increments")
+    t = np.arange(n + 1) / n
+    h = _checked_index(h_profile(t[1:]) if callable(h_profile) else h_profile,
+                       (n,))
+    constant = np.ptp(h) < 1e-12
+    if constant:
+        h = h[0]
     h_field = (h - 1.0) / k + 1.0
-    y, _ = sample_field_diagonal(h_field, n, seed)
-    p = hermite_poly(k, y)
-    weights = float(n) ** (-h)
-    if k == 1:
-        scale = 1.0
-    elif np.ptp(h) < 1e-12:
-        scale = _hermite_sum_std(float(h_field[0]), k, n) / float(n) ** float(h[0])
+    p = hermite_poly(k, sample_field_diagonal(h_field, n, seed)[0])
+    if constant:
+        sums, scale = np.cumsum(p), _hermite_sum_std(h_field, k, n)
     else:
-        scale = _weighted_hermite_sum_std(h_field, weights, k)
-    values = np.concatenate([[0.0], np.cumsum(weights * p)]) / scale
-    return Trajectory(np.arange(n + 1) / n, values,
-                      meta={"kind": "sh" if k == 1 else "sh_hermite", "k": k,
-                            "n": n, "seed": repr(seed)})
+        weights = float(n) ** (-h)
+        sums = np.cumsum(weights * p)
+        scale = 1.0 if k == 1 else _weighted_hermite_sum_std(h_field, weights, k)
+    return Trajectory(t, np.concatenate([[0.0], sums]) / scale)
+
+
+def simulate_hermite(h, k, n, seed) -> Trajectory:
+    """Rank-K Hermite process (fBm at K = 1): :func:`simulate` at the
+    constant index h."""
+    return simulate(h, k, n, seed)
+
+
+def simulate_sh(h_profile, n, seed) -> Trajectory:
+    """Multifractional limit process: :func:`simulate` at K = 1."""
+    return simulate(h_profile, 1, n, seed)
 
 
 # --------------------------------------------------------------------------
 # multifractional covariance oracle (weakly singular double integral)
 # --------------------------------------------------------------------------
-
-def _checked_index(h, shape):
-    """Profile values broadcast to ``shape``; DomainError outside (1/2, 1)."""
-    h = np.broadcast_to(np.asarray(h, dtype=float), shape)
-    if not np.all((h > 0.5) & (h < 1.0)):
-        raise DomainError("index profile leaves (1/2, 1): "
-                          f"range [{h.min():.3f}, {h.max():.3f}]")
-    return h
-
 
 def sh_covariance(h_profile, z1, z2, *, j1=1.0) -> float:
     """Covariance of the multifractional limit at (z1, z2):
@@ -294,38 +268,3 @@ def sh_covariance(h_profile, z1, z2, *, j1=1.0) -> float:
         inner += np.bincount(o, weights=np.sum(weights * vals, axis=1),
                              minlength=u.size)
     return float(np.dot(w, inner))
-
-
-# --------------------------------------------------------------------------
-# one entry point for all limit families
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LimitSpec:
-    """Which limiting process to simulate, at what resolution."""
-
-    kind: str                      # fbm | hermite | multifrac | multifrac_hermite
-    n: int
-    seed: int | tuple = 0
-    h: float | None = None         # constant index (fbm / hermite)
-    k: int = 1
-    h_profile: object = None       # callable on [0, 1] (multifrac kinds)
-
-    def __post_init__(self):
-        kinds = ("fbm", "hermite", "multifrac", "multifrac_hermite")
-        if self.kind not in kinds:
-            raise DomainError(f"kind must be one of {kinds}")
-        if self.kind in ("fbm", "hermite") and self.h is None:
-            raise DomainError(f"{self.kind} needs a constant index h")
-        if self.kind in ("multifrac", "multifrac_hermite") and self.h_profile is None:
-            raise DomainError(f"{self.kind} needs an index profile")
-
-
-def simulate(spec: LimitSpec) -> Trajectory:
-    if spec.kind == "fbm":
-        return simulate_hermite(spec.h, 1, spec.n, spec.seed)
-    if spec.kind == "hermite":
-        return simulate_hermite(spec.h, spec.k, spec.n, spec.seed)
-    if spec.kind == "multifrac":
-        return simulate_sh(spec.h_profile, spec.n, spec.seed)
-    return simulate_sh_hermite(spec.h_profile, spec.k, spec.n, spec.seed)

@@ -296,7 +296,6 @@ class VTriple:
     v1: Trajectory
     v2: Trajectory
     v3: Trajectory
-    omega: float
 
 
 def v_triple(real: MediumRealization, omega) -> VTriple:
@@ -322,9 +321,8 @@ def v_triple(real: MediumRealization, omega) -> VTriple:
     out = {}
     for name, contrib in contributions.items():
         values = np.concatenate([[0.0], np.cumsum(contrib)])
-        out[name] = Trajectory(real.z_grid, values, meta={"process": name,
-                                                          "omega": omega})
-    return VTriple(v1=out["v1"], v2=out["v2"], v3=out["v3"], omega=omega)
+        out[name] = Trajectory(real.z_grid, values)
+    return VTriple(v1=out["v1"], v2=out["v2"], v3=out["v3"])
 
 
 # --------------------------------------------------------------------------

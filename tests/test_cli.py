@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lrwave.cli import main, run
-from lrwave.config import ExperimentConfig
+from lrwave.config import LIMIT_KINDS, MODES, ExperimentConfig
 from lrwave.errors import ConfigurationError
 from lrwave.serialize import fmt, read_csv, write_csv
 
@@ -66,6 +66,13 @@ class TestConfig:
             return out
 
         assert keys(doc) == keys(ExperimentConfig.from_dict(doc).resolved())
+
+    def test_readme_choices_are_the_accepted_ones(self):
+        block = re.search(r"```jsonc\n(.*?)```", README.read_text(), re.S)[1]
+        modes = re.search(r'"mode":.*// (.*)', block)[1]
+        kinds = re.search(r"// kinds (fbm[^;]*);", block)[1]
+        assert tuple(modes.split(" | ")) == MODES
+        assert tuple(kinds.split(" | ")) == LIMIT_KINDS
 
     def test_manifest_unwrapping(self):
         cfg = ExperimentConfig.from_dict({"mode": "synth"})
@@ -219,6 +226,15 @@ class TestRun:
         ("source.window_lengths",
          {"mode": "propagate", "source": {"window_lengths": 0},
           "ensemble": {"n_realizations": 1}}),
+        ("limits.kind", {"mode": "limits", "limits": {"kind": "levy"}}),
+        ("limits.k", {"mode": "limits", "limits": {
+            "kind": "hermite", "h": 0.7, "k": 0}}),
+        ("limits.k", {"mode": "limits", "limits": {
+            "kind": "fbm", "h": 0.7, "k": 3}}),
+        ("limits.k", {"mode": "limits", "limits": {"kind": "multifrac",
+                                                   "k": 2}}),
+        ("limits.h", {"mode": "limits", "limits": {"kind": "hermite",
+                                                   "k": 2}}),
     ])
     def test_bad_value_exits_one(self, tmp_path, capsys, key, cfg):
         assert run(dict(cfg, output_dir=str(tmp_path))) == 1

@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrwave import (DomainError, LimitSpec, asymptotic_covariance_scale,
-                    hermite_covariance, increment_field_covariance,
-                    profile_from_config, sh_covariance, simulate,
-                    simulate_hermite, simulate_sh, simulate_sh_hermite)
+from lrwave import (DomainError, asymptotic_covariance_scale,
+                    hermite_covariance, hermite_poly,
+                    increment_field_covariance, profile_from_config,
+                    sh_covariance, simulate, simulate_hermite, simulate_sh,
+                    synthesize_fgn)
 from lrwave import gaussian_field as gf
 from lrwave import limits as lm
 from lrwave.quadrature import geometric_edges, panel_nodes
@@ -62,6 +63,18 @@ class TestSimulateHermite:
         with pytest.raises(DomainError):
             simulate_hermite(0.7, 0, 512, seed=0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_lag_sum_arithmetic(self, k):
+        """A constant index: P_K of fGn(h~), summed and divided by the exact
+        lag-sum sd, bit for bit."""
+        n, h = 1000, 0.7
+        h_tilde = (h - 1.0) / k + 1.0
+        p = hermite_poly(k, synthesize_fgn(h_tilde, n, (70, k)).values)
+        expected = (np.concatenate([[0.0], np.cumsum(p)])
+                    / lm._hermite_sum_std(h_tilde, k, n))
+        assert np.array_equal(simulate_hermite(h, k, n, (70, k)).values,
+                              expected)
+
 
 class TestSimulateSh:
     def test_deterministic(self):
@@ -101,12 +114,21 @@ class TestSimulateSh:
         tr = simulate_sh(lambda u: 0.55 + 0.3 * np.asarray(u), 4096, seed=3)
         assert np.max(np.abs(np.diff(tr.values))) < 20.0 * 4096 ** -0.55
 
+    @pytest.mark.parametrize("n", [2, 100])
+    def test_short_paths(self, n):
+        for prof in (0.7, *_figure_profiles()):
+            tr = simulate_sh(prof, n, seed=6)
+            assert len(tr) == n + 1 and tr.values[0] == 0.0
+            assert np.all(np.isfinite(tr.values))
+
 
 class TestSimulateShHermite:
+    """:func:`simulate` along index profiles, at rank K."""
+
     def test_k1_matches_simulate_sh_in_covariance(self):
         m, n = 250, 512
         prof = lambda u: 0.6 + 0.2 * np.asarray(u)
-        a = [simulate_sh_hermite(prof, 1, n, seed=(66, i)) for i in range(m)]
+        a = [simulate(prof, 1, n, seed=(66, i)) for i in range(m)]
         b = [simulate_sh(prof, n, seed=(66, i)) for i in range(m)]
         for i in range(m):
             assert np.allclose(a[i].values, b[i].values)
@@ -114,7 +136,7 @@ class TestSimulateShHermite:
     def test_constant_profile_matches_simulate_hermite(self):
         m, n = 400, 512
         a_end = np.array([
-            simulate_sh_hermite(0.7, 2, n, seed=(67, i)).values[-1]
+            simulate(0.7, 2, n, seed=(67, i)).values[-1]
             for i in range(m)])
         b_end = np.array([
             simulate_hermite(0.7, 2, n, seed=(68, i)).values[-1]
@@ -130,14 +152,14 @@ class TestSimulateShHermite:
         # the exact pair-sum normalization: varying profile, K >= 2
         m, n = 400, 256
         prof = lambda u: 0.6 + 0.2 * np.asarray(u)
-        end = np.array([simulate_sh_hermite(prof, 2, n, seed=(69, i)).values[-1]
+        end = np.array([simulate(prof, 2, n, seed=(69, i)).values[-1]
                         for i in range(m)])
         assert abs(end.var(ddof=1) - 1.0) < 0.35
         c = end - end.mean()
         assert np.mean(c ** 3) / np.mean(c ** 2) ** 1.5 > 0.0
 
     def test_zero_start(self):
-        tr = simulate_sh_hermite(0.66, 2, 512, seed=1)
+        tr = simulate(0.66, 2, 512, seed=1)
         assert tr.values[0] == 0.0
 
     def test_one_noise_path_per_call(self, monkeypatch):
@@ -146,8 +168,23 @@ class TestSimulateShHermite:
         monkeypatch.setattr(lm, "sample_field_diagonal",
                             lambda *a, **kw: calls.append(1) or draw(*a, **kw))
         prof = lambda u: 0.6 + 0.2 * np.asarray(u)
-        simulate_sh_hermite(prof, 2, 256, seed=2)
+        simulate(prof, 2, 256, seed=2)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_weighted_arithmetic(self, k):
+        """A varying profile: increments weighted n^(-h), rank 1 unscaled,
+        rank 2 divided by the exact pair-sum sd, bit for bit."""
+        n = 300
+        prof = _figure_profiles()[1]
+        h = np.asarray(prof(np.arange(1, n + 1) / n), dtype=float)
+        h_field = (h - 1.0) / k + 1.0
+        y, _ = lm.sample_field_diagonal(h_field, n, (71, k))
+        w = float(n) ** (-h)
+        scale = 1.0 if k == 1 else lm._weighted_hermite_sum_std(h_field, w, k)
+        expected = (np.concatenate([[0.0], np.cumsum(w * hermite_poly(k, y))])
+                    / scale)
+        assert np.array_equal(simulate(prof, k, n, (71, k)).values, expected)
 
 
 class TestNearOneProfiles:
@@ -163,7 +200,7 @@ class TestNearOneProfiles:
     @pytest.mark.parametrize("top", [0.95, 0.99])
     def test_simulate_sh_hermite_rank_two(self, top):
         prof = lambda u: 0.6 + (top - 0.6) * np.asarray(u)
-        tr = simulate_sh_hermite(prof, 2, 256, seed=5)
+        tr = simulate(prof, 2, 256, seed=5)
         assert tr.values[0] == 0.0 and np.all(np.isfinite(tr.values))
 
     def test_ladder_on_lattice_below_one(self):
@@ -334,19 +371,3 @@ class TestShCovarianceRule:
         with pytest.raises(DomainError):
             sh_covariance(prof, 1.0, 1.0)
 
-
-class TestLimitSpec:
-    def test_dispatch(self):
-        tr = simulate(LimitSpec(kind="fbm", n=512, h=0.7, seed=3))
-        assert tr.meta["kind"] == "hermite" and tr.meta["k"] == 1
-        tr2 = simulate(LimitSpec(kind="multifrac", n=512,
-                                 h_profile=lambda u: 0.6 + 0.2 * np.asarray(u)))
-        assert tr2.meta["kind"] == "sh"
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            LimitSpec(kind="unknown", n=512)
-        with pytest.raises(DomainError):
-            LimitSpec(kind="fbm", n=512)
-        with pytest.raises(DomainError):
-            LimitSpec(kind="multifrac", n=512)
