@@ -16,6 +16,8 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .hermite import truncation
 from .medium import MediumSpec, profile_from_config
@@ -24,6 +26,9 @@ from .verify import TOLERANCES
 
 MODES = ("synth", "propagate", "sweep", "limits", "verify")
 LIMIT_KINDS = ("fbm", "hermite", "multifrac", "multifrac_hermite")
+
+# depths of [0, 1] at which each limits.profiles entry is range-checked
+_PROFILE_CHECK_POINTS = 257
 
 _JSON_TYPES = {float: "a finite number", int: "an integer", str: "a string",
                dict: "a JSON object"}
@@ -174,13 +179,23 @@ class LimitsBlock:
             if self.h is None:
                 raise ConfigurationError(
                     f"limits.h is required for kind {self.kind!r}")
+            if not 0.5 < self.h < 1.0:
+                raise ConfigurationError(
+                    f"limits.h must lie in (1/2, 1) for kind {self.kind!r}, "
+                    f"got {self.h!r}")
         elif not self.profiles:
             raise ConfigurationError(
                 f"limits.profiles is empty; kind {self.kind!r} needs at "
                 "least one index profile")
+        u = np.linspace(0.0, 1.0, _PROFILE_CHECK_POINTS)
         for i, prof in enumerate(self.profiles):
-            _check_entry(profile_from_config, prof, "kind",
-                         f"limits.profiles[{i}]")
+            key = f"limits.profiles[{i}]"
+            _check_entry(profile_from_config, prof, "kind", key)
+            h = profile_from_config(prof)(u)
+            if not np.all((h > 0.5) & (h < 1.0)):
+                raise ConfigurationError(
+                    f"{key} leaves (1/2, 1) on [0, 1]: range "
+                    f"[{h.min():.3f}, {h.max():.3f}]")
 
 
 @dataclass(frozen=True)

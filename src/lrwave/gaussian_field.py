@@ -204,7 +204,11 @@ def validate_hurst(h):
 def renorm_constant_sq(h):
     """Closed form of the spectral normalization constant squared,
     pi / (H Gamma(2H) sin(pi H)).  Accepts arrays."""
-    h = validate_hurst(h)
+    return _renorm_sq(validate_hurst(h))
+
+
+def _renorm_sq(h):
+    """:func:`renorm_constant_sq` of indices already checked to lie in (0, 1)."""
     return np.pi / (h * _gamma_fn(2.0 * h) * np.sin(np.pi * h))
 
 
@@ -268,12 +272,16 @@ def asymptotic_covariance_scale(h1, h2):
 
     Symmetric in its arguments; accepts arrays.
     """
-    h1 = validate_hurst(h1)
-    h2 = validate_hurst(h2)
-    s = h1 + h2
-    val = (0.5 * s * (s - 1.0) * renorm_constant_sq(0.5 * s)
-           / (renorm_constant(h1) * renorm_constant(h2)))
+    val = _asymptotic_scale(validate_hurst(h1), validate_hurst(h2))
     return float(val) if np.ndim(val) == 0 else val
+
+
+def _asymptotic_scale(h1, h2):
+    """:func:`asymptotic_covariance_scale` of indices already checked to lie
+    in (0, 1), not converted to float."""
+    s = h1 + h2
+    return (0.5 * s * (s - 1.0) * _renorm_sq(0.5 * s)
+            / (np.sqrt(_renorm_sq(h1)) * np.sqrt(_renorm_sq(h2))))
 
 
 def increment_field_covariance(z1, z2, h1, h2):
@@ -293,7 +301,7 @@ def _increment_covariance(d, h1, h2, c1, c2):
     """:func:`increment_field_covariance` at lag ``d`` >= 0 from the
     normalization constants c1 = c(h1), c2 = c(h2), precomputed per index."""
     s = h1 + h2
-    pref = 0.5 * renorm_constant_sq(0.5 * s) / (c1 * c2)
+    pref = 0.5 * _renorm_sq(0.5 * s) / (c1 * c2)
     return pref * ((d + 1.0) ** s + np.abs(d - 1.0) ** s - 2.0 * d ** s)
 
 
@@ -388,9 +396,22 @@ class _SpectralContext:
         self.a2w = self.widths * np.abs(self.psix) ** 2
         self._stats = {}
         self._fine_phases = None
+        self._origin_shift = None
 
     def kernel_power(self, h):
         return np.exp((0.5 - h) * self.logx)
+
+    def origin_shift(self, z0):
+        """exp(-i z0 x_k) over all nodes, cached per grid origin z0 (one
+        entry, as for fine_phases).  fine_phases uses absolute depths, so the
+        refined nodes carry z0 twice: the open `fine_phases` FOUND in
+        CHANGES.md.  The offset is kept as it is, since removing it changes
+        every medium stream."""
+        if self._origin_shift is None or self._origin_shift[0] != z0:
+            shift = np.exp(-1j * z0 * self.x)
+            shift.flags.writeable = False
+            self._origin_shift = (z0, shift)
+        return self._origin_shift[1]
 
     def fine_phases(self, z):
         """exp(-i z_j x_k) over the refined low-frequency nodes, cached per
@@ -432,16 +453,15 @@ def _field_columns(h_values, z, ctx, noise, nfold):
     """Evaluate m(z_j, H_i) = 2 Re sum_k g_k(H_i) dB_k exp(-i z_j x_k): the
     uniform nodes by one FFT of length ``nfold``, the refined ones by a
     direct product."""
-    x = ctx.x
     nf = ctx.grid_spec.n_fine
     out = np.empty((z.size, len(h_values)))
     base = noise * ctx.psix
     if z[0] != 0.0:
-        base = base * np.exp(-1j * z[0] * x)
+        base = ctx.origin_shift(z[0]) * base
     j = np.arange(z.size)
     twiddle = np.exp(-1j * np.pi * j / nfold)
     fine = ctx.fine_phases(z)
-    n_uni = x.size - nf
+    n_uni = ctx.x.size - nf
     buf = np.zeros((n_uni + nfold) // nfold * nfold + nfold, dtype=complex)
     for i, h in enumerate(h_values):
         c = base * (ctx.kernel_power(h) / renorm_constant(h))

@@ -6,6 +6,7 @@ E[P_j(X) P_k(X)] = k! delta_jk for standard normal X.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -30,6 +31,16 @@ __all__ = [
 # tail for polynomial maps (which terminate exactly) and for smooth ones
 _K_MAX, _QUAD_ORDER, _RANK_TOL = 12, 192, 1e-9
 _TAIL_TOL_POLYNOMIAL, _TAIL_TOL_SMOOTH = 1e-10, 2e-2
+
+
+@functools.lru_cache(maxsize=1)
+def _gauss_hermite_rule():
+    """_QUAD_ORDER-point rule with E[g(X)] = sum w_i g(x_i): built on first
+    use (about 2.5 ms) and shared read-only by every later call."""
+    nodes, weights = roots_hermitenorm(_QUAD_ORDER)
+    weights = weights / math.sqrt(2.0 * np.pi)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def hermite_poly(k, x):
@@ -137,8 +148,7 @@ def hermite_coeffs(t: Truncation, sigma0=1.0) -> HermiteSpec:
     sigma0 = float(sigma0)
     if sigma0 <= 0:
         raise DomainError("sigma0 must be positive")
-    nodes, weights = roots_hermitenorm(_QUAD_ORDER)
-    weights = weights / math.sqrt(2.0 * np.pi)   # E[g(X)] = sum w_i g(x_i)
+    nodes, weights = _gauss_hermite_rule()
     ty = t(sigma0 * nodes)
     if not np.all(np.isfinite(ty)):
         raise SynthesisError("truncation not finite on the quadrature range")

@@ -30,8 +30,8 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .gaussian_field import (Trajectory, _blend_levels, _increment_covariance,
-                             asymptotic_covariance_scale, fgn_covariance,
+from .gaussian_field import (Trajectory, _asymptotic_scale, _blend_levels,
+                             _increment_covariance, fgn_covariance,
                              increment_field_covariance, renorm_constant,
                              synthesize_coupled_fgn, validate_hurst)
 # unused here; kept as a module attribute that perfbench/tracer.py patches
@@ -228,6 +228,8 @@ def sh_covariance(h_profile, z1, z2, *, j1=1.0) -> float:
         seg = geometric_edges(a, b, toward="both", min_frac=1e-9)
         outer_edges.append(seg if not outer_edges else seg[1:])
     u, w = panel_nodes(np.concatenate(outer_edges), _SH_NPTS)
+    # the profile is checked here and at the flank nodes, so R is
+    # evaluated by the unchecked kernel
     h1 = _checked_index(prof(u), u.shape)
 
     # analytic diagonal band at the nodes inside [0, z2)
@@ -236,7 +238,7 @@ def sh_covariance(h_profile, z1, z2, *, j1=1.0) -> float:
     d_right = np.minimum(delta, z2 - u)
     h_in, dl, dr = h1[inside], d_left[inside], d_right[inside]
     inner = np.zeros_like(u)
-    inner[inside] = (j1_sq * asymptotic_covariance_scale(h_in, h_in)
+    inner[inside] = (j1_sq * _asymptotic_scale(h_in, h_in)
                      * (dl ** (2 * h_in - 1) + dr ** (2 * h_in - 1))
                      / (2 * h_in - 1))
 
@@ -263,7 +265,7 @@ def sh_covariance(h_profile, z1, z2, *, j1=1.0) -> float:
         o = owner[rows]
         h2 = _checked_index(prof(nodes), nodes.shape)
         hu = h1[o, None]
-        vals = (j1_sq * asymptotic_covariance_scale(hu, h2)
+        vals = (j1_sq * _asymptotic_scale(hu, h2)
                 * np.abs(u[o, None] - nodes) ** (hu + h2 - 2.0))
         inner += np.bincount(o, weights=np.sum(weights * vals, axis=1),
                              minlength=u.size)

@@ -3,9 +3,17 @@
 Floats are formatted with 17 significant digits so artifacts are
 byte-identical across runs and platforms given the same inputs; summation
 order inside the library is deterministic (numpy pairwise reductions).
+
+A CSV's first column is a grid (``s``, ``omega``, ``t``, ``z``) shared by
+every file of a run, so :func:`write_csv` formats it once: each row becomes
+a template of the formatted grid value followed by ``%.17g`` slots for the
+other columns.  The templates are joined into blocks of ``_BLOCK_ROWS``
+rows, kept in a small cache keyed by the grid's bytes and the column
+count, and each block is filled by one ``%`` operation.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -14,24 +22,48 @@ import numpy as np
 
 # uniform depths on [0, 1] at which medium_manifest tabulates the profiles
 _PROFILE_POINTS = 256
+# rows per template block: one string per block bounds the memory of a write
+_BLOCK_ROWS = 512
 
 
 def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+@functools.lru_cache(maxsize=4)
+def _row_blocks(first: bytes, n_cols: int) -> tuple[str, ...]:
+    """Row templates of a CSV whose first column has the float64 bytes
+    ``first``: that value formatted as by fmt(), then n_cols - 1 ``%.17g``
+    slots, in blocks of _BLOCK_ROWS rows.  Each block is one ``%`` of the
+    grid values into rows whose escaped slots ``%%.17g`` come out as
+    ``%.17g``."""
+    row = "%.17g" + ",%%.17g" * (n_cols - 1) + "\n"
+    grid = np.frombuffer(first).tolist()
+    return tuple((row * len(chunk)) % tuple(chunk)
+                 for chunk in (grid[lo:lo + _BLOCK_ROWS]
+                               for lo in range(0, len(grid), _BLOCK_ROWS)))
+
+
 def write_csv(path, header, columns) -> Path:
-    """Write columns (equal-length 1-d arrays) under a comma-joined header."""
+    """Write columns (equal-length 1-d arrays) under a comma-joined header;
+    every value is written as fmt() writes it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     cols = [np.asarray(c) for c in columns]
     n = cols[0].size
     if any(c.size != n for c in cols):
         raise ValueError("csv columns differ in length")
-    row = ",".join(["%.17g"] * len(cols)) + "\n"   # fmt() for each column
+    # float64 is what fmt() formats, so the cast changes no written value
+    first = np.asarray(cols[0], dtype=float).ravel()
+    rest = np.empty((n, len(cols) - 1))
+    for j, c in enumerate(cols[1:]):
+        rest[:, j] = c.ravel()
+    blocks = _row_blocks(first.tobytes(), len(cols))
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(row % r for r in zip(*(c.tolist() for c in cols)))
+        for i, block in enumerate(blocks):
+            lo = i * _BLOCK_ROWS
+            f.write(block % tuple(rest[lo:lo + _BLOCK_ROWS].ravel().tolist()))
     return path
 
 

@@ -258,6 +258,20 @@ class TestRun:
         assert "limits.profiles" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("key, limits", [
+        ("limits.h", {"kind": "fbm", "h": 0.3}),
+        ("limits.profiles[0]", {"kind": "multifrac", "profiles": [
+            {"kind": "periodic", "mean": 0.7, "amplitude": 0.3}]}),
+    ])
+    def test_limits_index_range_exits_one(self, tmp_path, capsys, key,
+                                          limits):
+        out = tmp_path / "out"
+        status = run({"mode": "limits", "output_dir": str(out),
+                      "limits": limits})
+        assert status == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_limits_zero_length_rejected(self, tmp_path):
         status = run({"mode": "limits", "output_dir": str(tmp_path),
                       "limits": {"n": 0}})

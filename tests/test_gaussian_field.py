@@ -314,6 +314,23 @@ class TestFieldDiagonal:
         with pytest.raises(ConfigurationError):
             sample_field_diagonal(np.full(4, 0.7), np.arange(8.0))
 
+    def test_origin_shift_cache_matches_fresh_context(self):
+        # one context serves grids of the same spacing and span; its cached
+        # phase exp(-i z0 x) must follow the origin z0
+        h = np.linspace(0.6, 0.8, 64)
+        origins = (0.5, 1.5, 0.5)
+
+        def draw(z0):
+            return sample_field_diagonal(h, z0 + np.arange(64.0), seed=11)[0]
+
+        cached = [draw(z0) for z0 in origins]
+        fresh = []
+        for z0 in origins:
+            gf._spectral_context.cache_clear()
+            fresh.append(draw(z0))
+        assert [a.tobytes() for a in cached] == [b.tobytes() for b in fresh]
+        assert not np.array_equal(cached[0], cached[1])
+
 
 class TestSpectralWeight:
     def test_default_weight_valid(self):

@@ -7,6 +7,7 @@ from scipy.special import roots_hermitenorm
 from lrwave import (ConfigurationError, DomainError, composed_covariance,
                     fgn_covariance, hermite_coeffs, hermite_poly,
                     synthesize_fgn, truncation)
+from lrwave import hermite as hm
 from lrwave.hermite import TRUNCATION_CATALOG, Truncation
 
 
@@ -89,6 +90,18 @@ class TestComposedCovariance:
         s = hermite_coeffs(truncation("cubic"))
         with pytest.raises(DomainError):
             composed_covariance(s, 1.2)
+
+    def test_rule_built_once_and_read_only(self):
+        hm._gauss_hermite_rule.cache_clear()
+        first = hermite_coeffs(truncation("tanh", a=1.5))
+        again = hermite_coeffs(truncation("tanh", a=1.5))
+        assert first.coeffs.tobytes() == again.coeffs.tobytes()
+        assert hm._gauss_hermite_rule.cache_info().misses == 1
+        nodes, w = hm._gauss_hermite_rule()
+        ref_nodes, ref_w = roots_hermitenorm(192)
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert w.tobytes() == (ref_w / np.sqrt(2 * np.pi)).tobytes()
+        assert not nodes.flags.writeable and not w.flags.writeable
 
     def test_parseval(self):
         nodes, w = roots_hermitenorm(192)
