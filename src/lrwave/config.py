@@ -183,6 +183,10 @@ class LimitsBlock:
                 raise ConfigurationError(
                     f"limits.h must lie in (1/2, 1) for kind {self.kind!r}, "
                     f"got {self.h!r}")
+        elif self.h is not None:
+            raise ConfigurationError(
+                f"limits.h is not read by kind {self.kind!r}; its index "
+                "profiles are limits.profiles")
         elif not self.profiles:
             raise ConfigurationError(
                 f"limits.profiles is empty; kind {self.kind!r} needs at "

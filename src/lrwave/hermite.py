@@ -62,14 +62,12 @@ def hermite_poly(k, x):
 class Truncation:
     """A pointwise map applied to the Gaussian field, with metadata.
 
-    ``odd`` records parity when known; ``degree`` is a hint for polynomial
-    maps (coefficients above it vanish).  ``params`` carries the catalog
-    parameters for manifests.
+    ``degree`` is a hint for polynomial maps (coefficients above it vanish).
+    ``params`` carries the catalog parameters for manifests.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
-    odd: bool | None = None
     degree: int | None = None
     params: tuple = ()
 
@@ -79,22 +77,21 @@ class Truncation:
 
 TRUNCATION_CATALOG = {
     "identity": lambda scale=1.0: Truncation(
-        lambda x, s=scale: s * x, "identity", odd=True, degree=1,
+        lambda x, s=scale: s * x, "identity", degree=1,
         params=(("scale", scale),)),
     "cubic": lambda scale=1.0: Truncation(
-        lambda x, s=scale: s * x ** 3, "cubic", odd=True, degree=3,
+        lambda x, s=scale: s * x ** 3, "cubic", degree=3,
         params=(("scale", scale),)),
     "square_center": lambda scale=1.0: Truncation(
-        lambda x, s=scale: s * (x ** 2 - 1.0), "square_center", odd=False,
-        degree=2, params=(("scale", scale),)),
+        lambda x, s=scale: s * (x ** 2 - 1.0), "square_center", degree=2,
+        params=(("scale", scale),)),
     "tanh": lambda a=1.0, scale=1.0: Truncation(
-        lambda x, a=a, s=scale: s * np.tanh(a * x), "tanh", odd=True,
+        lambda x, a=a, s=scale: s * np.tanh(a * x), "tanh",
         params=(("a", a), ("scale", scale))),
     "clipped_linear": lambda c=1.0, scale=1.0: Truncation(
-        lambda x, c=c, s=scale: s * np.clip(x, -c, c), "clipped_linear", odd=True,
+        lambda x, c=c, s=scale: s * np.clip(x, -c, c), "clipped_linear",
         params=(("c", c), ("scale", scale))),
-    "zero": lambda: Truncation(lambda x: np.zeros_like(x), "zero", odd=True,
-                               degree=0),
+    "zero": lambda: Truncation(lambda x: np.zeros_like(x), "zero", degree=0),
 }
 
 
@@ -114,30 +111,26 @@ def truncation(name, **params) -> Truncation:
 
 @dataclass(frozen=True)
 class HermiteSpec:
-    """Hermite coefficients J(1..k_max) of T(sigma0 * .) and the detected rank.
+    """Hermite coefficients J(1.._K_MAX) of T and the detected rank.
 
     ``tail_fraction`` is the share of the variance series sum J(k)^2/k! sitting
     in the last two computed terms; it bounds the relative truncation error of
-    :func:`composed_covariance` (which shrinks further like (r/sigma0^2)^k).
+    :func:`composed_covariance` (which shrinks further like r^k).
     """
 
-    sigma0: float
     coeffs: np.ndarray          # coeffs[k-1] = J(k)
     rank: int
-    k_max: int
-    tol: float
-    tail_fraction: float = 0.0
-    truncation: Truncation | None = None
+    tail_fraction: float
 
     def coeff(self, k: int) -> float:
-        if not 1 <= k <= self.k_max:
-            raise DomainError(f"coefficient index {k} outside 1..{self.k_max}")
+        if not 1 <= k <= _K_MAX:
+            raise DomainError(f"coefficient index {k} outside 1..{_K_MAX}")
         return float(self.coeffs[k - 1])
 
 
-def hermite_coeffs(t: Truncation, sigma0=1.0) -> HermiteSpec:
-    """Coefficients J(k) = E[T(sigma0 X) P_k(X)], k = 1.._K_MAX, by
-    Gauss-Hermite quadrature.
+def hermite_coeffs(t: Truncation) -> HermiteSpec:
+    """Coefficients J(k) = E[T(X) P_k(X)], k = 1.._K_MAX, by Gauss-Hermite
+    quadrature.
 
     The rank is the smallest k with |J(k)| > _RANK_TOL.  Maps with nonzero
     mean are rejected (media must be centered).  Polynomial maps must have a
@@ -145,11 +138,8 @@ def hermite_coeffs(t: Truncation, sigma0=1.0) -> HermiteSpec:
     non-polynomial maps such as tanh carry a slowly decaying tail, which is
     measured, stored on the result, and rejected only beyond 2%.
     """
-    sigma0 = float(sigma0)
-    if sigma0 <= 0:
-        raise DomainError("sigma0 must be positive")
     nodes, weights = _gauss_hermite_rule()
-    ty = t(sigma0 * nodes)
+    ty = t(nodes)
     if not np.all(np.isfinite(ty)):
         raise SynthesisError("truncation not finite on the quadrature range")
 
@@ -157,7 +147,7 @@ def hermite_coeffs(t: Truncation, sigma0=1.0) -> HermiteSpec:
     scale = max(1.0, float(np.max(np.abs(ty))))
     if abs(j0) > max(_RANK_TOL, 1e-9 * scale):
         raise ConfigurationError(
-            f"truncation {t.name!r} is not centered: E[T(sigma0 X)] = {j0:.3e}")
+            f"truncation {t.name!r} is not centered: E[T(X)] = {j0:.3e}")
 
     coeffs = np.empty(_K_MAX)
     prev = np.ones_like(nodes)
@@ -183,23 +173,22 @@ def hermite_coeffs(t: Truncation, sigma0=1.0) -> HermiteSpec:
         raise ConfigurationError(
             f"Hermite series of {t.name!r} has tail fraction "
             f"{tail_fraction:.2e} > {tail_tol:.0e} at k_max={_K_MAX}")
-    return HermiteSpec(sigma0=sigma0, coeffs=coeffs, rank=rank, k_max=_K_MAX,
-                       tol=_RANK_TOL, tail_fraction=tail_fraction, truncation=t)
+    return HermiteSpec(coeffs=coeffs, rank=rank, tail_fraction=tail_fraction)
 
 
 def composed_covariance(spec: HermiteSpec, r_m):
-    """Covariance of T(m(0)), T(m(z)) from the field covariance r_m = cov(m(0), m(z)):
+    """Covariance of T(m(0)), T(m(z)) from the covariance r_m = cov(m(0), m(z))
+    of a unit-variance field:
 
-        sum_{k >= rank}  J(k)^2 / (k! sigma0^(2k)) * r_m^k.
+        sum_{k >= rank}  J(k)^2 / k! * r_m^k.
     """
     r = np.asarray(r_m, dtype=float)
-    s2 = spec.sigma0 ** 2
-    if np.any(np.abs(r) > s2 * (1.0 + 1e-12)):
-        raise DomainError("|r_m| cannot exceed the field variance sigma0^2")
+    if np.any(np.abs(r) > 1.0 + 1e-12):
+        raise DomainError("|r_m| cannot exceed the unit field variance")
     out = np.zeros_like(r)
-    for k in range(spec.rank, spec.k_max + 1):
+    for k in range(spec.rank, _K_MAX + 1):
         jk = spec.coeffs[k - 1]
         if jk == 0.0:
             continue
-        out = out + (jk ** 2 / (math.factorial(k) * s2 ** k)) * r ** k
+        out = out + (jk ** 2 / math.factorial(k)) * r ** k
     return float(out) if np.ndim(r_m) == 0 else out

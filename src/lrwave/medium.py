@@ -13,7 +13,9 @@ decays with exponent gamma(z) * K = 2 - 2 h(z).
 Both parametrizations (gamma profile or h profile) are accepted and cross
 checked.  Slabs are piecewise constant at their midpoint values, with the
 micro step equal to one micro unit, so a realization with n slabs covers
-n micro correlation lengths.
+n micro correlation lengths.  The slab covariance of a spec is known in
+closed form (`slab_covariance`); the paper's assumptions A2 (power law at
+moderate lags) and A3 (integrable short lags) are checked on it.
 """
 from __future__ import annotations
 
@@ -25,8 +27,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, PhaseResolutionError
 from .gaussian_field import (Trajectory, asymptotic_covariance_scale,
-                             sample_field_diagonal)
-from .hermite import HermiteSpec, Truncation, hermite_coeffs, truncation
+                             increment_field_covariance, sample_field_diagonal)
+from .hermite import (HermiteSpec, Truncation, composed_covariance,
+                      hermite_coeffs, truncation)
 
 __all__ = [
     "Profile",
@@ -40,6 +43,7 @@ __all__ = [
     "build_medium",
     "white_medium",
     "v_triple",
+    "slab_covariance",
     "check_a2",
     "check_a3",
     "A2Report",
@@ -49,11 +53,8 @@ __all__ = [
 MAX_SLABS = 1 << 22
 
 # assumption checks: pair lags are measured against eps^_LAM; A2 keeps lags
-# beyond _A2_Z_DELTA of it, in windows of _A2_WINDOW_FRACTION of the depth
-# for varying profiles, and needs _A2_MIN_ENSEMBLE media; both checks need
-# _MIN_PAIR_SAMPLES products; A3 flags points above _A3_SLACK x its fit
-_LAM, _A2_Z_DELTA, _A2_WINDOW_FRACTION, _A2_MIN_ENSEMBLE = 2.0, 4.0, 0.1, 100
-_MIN_PAIR_SAMPLES, _A3_SLACK = 1000, 3.0
+# beyond _A2_Z_DELTA of it; A3 flags points above _A3_SLACK x its fit
+_LAM, _A2_Z_DELTA, _A3_SLACK = 2.0, 4.0, 3.0
 
 
 # --------------------------------------------------------------------------
@@ -211,7 +212,6 @@ class MediumRealization:
     nu_eps: np.ndarray          # n slab (midpoint) values
     epsilon: float
     tau: float
-    spec: MediumSpec | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -257,8 +257,7 @@ def build_medium(spec: MediumSpec) -> MediumRealization:
     if not np.all(np.isfinite(nu_eps)):
         raise ConfigurationError("medium contains non-finite fluctuations")
     return MediumRealization(z_grid=z_grid, nu_eps=nu_eps, epsilon=eps,
-                             tau=spec.tau, spec=spec,
-                             meta={"seed": spec.seed})
+                             tau=spec.tau, meta={"seed": spec.seed})
 
 
 def white_medium(epsilon, seed=0, *, variance=1.0) -> MediumRealization:
@@ -279,7 +278,7 @@ def white_medium(epsilon, seed=0, *, variance=1.0) -> MediumRealization:
     z_grid = dz * np.arange(n + 1)
     micro_width = dz / epsilon ** 2
     return MediumRealization(z_grid=z_grid, nu_eps=nu_eps, epsilon=epsilon,
-                             tau=spec.tau, spec=spec,
+                             tau=spec.tau,
                              meta={"seed": seed, "kind": "mixing",
                                    "sigma_sq": variance * micro_width / 2.0})
 
@@ -326,185 +325,123 @@ def v_triple(real: MediumRealization, omega) -> VTriple:
 
 
 # --------------------------------------------------------------------------
-# empirical checks of the covariance assumptions
+# the covariance assumptions on the exact slab covariance
 # --------------------------------------------------------------------------
+
+def slab_covariance(spec: MediumSpec, i, j):
+    """Exact Cov(nu_eps[i], nu_eps[j]) of the slabs of ``spec``:
+
+        eps^(2 h_i + 2 h_j - 4) * composed_covariance(hermite, r_ij),
+
+    with r_ij = increment_field_covariance(zeta_i, zeta_j, hf_i, hf_j) the
+    field covariance at the micro depths zeta = z_mid / eps^2 of the slab
+    midpoints, and hf the field index.  Broadcasts over slab indices; the
+    zero truncation gives zeros.
+    """
+    if spec.kind != "long_range":
+        raise DomainError("a mixing medium has no closed-form slab covariance")
+    i, j = np.broadcast_arrays(np.asarray(i), np.asarray(j))
+    if spec.hermite is None:
+        return np.zeros(i.shape)
+    dz = spec.depth / spec.resolved_slabs()
+    z_i, z_j = dz * (i + 0.5), dz * (j + 0.5)
+    u_i, u_j = z_i / spec.depth, z_j / spec.depth
+    eps = spec.epsilon
+    hf_i, hf_j = spec.field_index(u_i), spec.field_index(u_j)
+    r = increment_field_covariance(z_i / eps ** 2, z_j / eps ** 2, hf_i, hf_j)
+    amplitude = eps ** (2.0 * spec.h(u_i) + 2.0 * spec.h(u_j) - 4.0)
+    return amplitude * composed_covariance(spec.hermite, r)
+
 
 @dataclass(frozen=True)
 class A2Report:
-    status: str                  # pass | fail | inconclusive
-    max_rel_dev: float | None
-    rows: tuple                  # (anchor_u, lag, emp, se, target, rel_dev)
+    status: str                  # pass | fail
+    max_rel_dev: float
+    rows: tuple                  # (anchor_u, lag, exact, target, rel_dev)
     delta: float
-    lam: float
-    n_samples: int
 
 
 @dataclass(frozen=True)
 class A3Report:
     status: str
-    c_rho: float | None
-    gamma_rho: float | None
+    c_rho: float
+    gamma_rho: float
     violations: int
-    rows: tuple                  # (lag, |emp|, se)
-    lam: float
+    rows: tuple                  # (lag, |exact|)
     rho: float
-    n_samples: int
 
 
-def _ensemble_cov(reals, i_idx, j_idx):
-    """Ensemble covariance estimates at paired slab indices.
-
-    Returns per-realization means (the within-realization window samples are
-    strongly correlated, so errors are clustered by realization).
-    """
-    per_real = np.array([
-        np.mean(r.nu_eps[i_idx] * r.nu_eps[j_idx]) for r in reals])
-    return float(per_real.mean()), float(per_real.std(ddof=1) / math.sqrt(len(reals)))
-
-
-def _default_r_estimate(spec: MediumSpec):
-    """Long-lag covariance scale of the medium at macro depths (z1, z2):
-    (J(K)^2 / K!) * R(hf(z1), hf(z2))^K, with hf the field index.
-
-    The K-th Hermite power applies to the whole field covariance, including
-    its asymptotic constant.
-    """
+def _checked_grid(spec: MediumSpec):
+    """(n, dz) of a spec whose slab covariance the checks can read."""
     if spec.hermite is None:
-        return None
-    k = spec.rank
-    jk = spec.hermite.coeff(k)
-    pref = jk ** 2 / math.factorial(k)
-
-    def estimate(u1, u2):
-        h1 = float(spec.field_index(np.asarray(u1)))
-        h2 = float(spec.field_index(np.asarray(u2)))
-        return pref * asymptotic_covariance_scale(h1, h2) ** k
-    return estimate
+        raise DomainError("no long-range covariance to check: zero "
+                          "truncation or mixing medium")
+    n = spec.resolved_slabs()
+    return n, spec.depth / n
 
 
-def check_a2(reals, *, delta=0.3) -> A2Report:
-    """Compare ensemble covariances against the power-law form
-    R(z1, z2) |z1 - z2|^(-gamma(z1, z2)) at moderate lags.
+def check_a2(spec: MediumSpec, *, delta=0.3) -> A2Report:
+    """Compare the exact slab covariance with the power-law form
+    (J(K)^2 / K!) R(hf1, hf2)^K |z1 - z2|^(-(2 - h1 - h2)) at moderate lags.
 
-    Pairs are restricted to |z1 - z2| > eps^_LAM * _A2_Z_DELTA, at up to six
-    doubling lags up to an eighth of the depth.  Constant-profile media are
-    pooled over all depths; varying profiles restrict pairs to windows
-    around u = 0.25, 0.5 and 0.75.  Passes when every admissible pair
-    deviates from its target by at most delta (relative) beyond Monte Carlo
-    error bars; products of long-memory fields are extremely noisy, so large
-    ensembles are needed for a conclusive verdict.
+    Lags start beyond eps^_LAM * _A2_Z_DELTA and double up to an eighth of
+    the slabs, at most six of them.  A constant profile has one "all" row
+    per lag (its covariance depends on the lag only); a varying profile has
+    rows at u = 0.25, 0.5 and 0.75, each from the slab pair centred there.
+    Passes when every row deviates from its target by at most delta
+    (relative).
     """
-    if len(reals) < 2:
-        raise DomainError("need an ensemble of realizations")
-    ref = reals[0]
-    spec = ref.spec
-    n = ref.n_slabs
-    dz = ref.dz
-    eps = ref.epsilon
-    long_range = spec is not None and spec.kind == "long_range"
-    r_estimate = _default_r_estimate(spec) if long_range else None
-    if r_estimate is None or len(reals) < _A2_MIN_ENSEMBLE:
-        return A2Report("inconclusive", None, (), delta, _LAM, 0)
-
-    min_lag = max(1, int(math.ceil(eps ** _LAM * _A2_Z_DELTA / dz)))
-    lags = []
-    lag = max(min_lag, 2)
-    while lag <= n // 8 and len(lags) < 6:
-        lags.append(lag)
-        lag *= 2
+    n, dz = _checked_grid(spec)
+    first = max(2, int(math.ceil(spec.epsilon ** _LAM * _A2_Z_DELTA / dz)))
+    lags = [first << m for m in range(6) if first << m <= n // 8]
     if not lags:
-        return A2Report("inconclusive", None, (), delta, _LAM, 0)
-
+        raise DomainError(f"no A2 lag on {n} slabs: the first lag {first} "
+                          f"exceeds n/8 = {n // 8}")
     varying = np.ptp(spec.h(np.linspace(0.0, 1.0, 33))) > 1e-9
-    anchors = (0.25, 0.5, 0.75) if varying else ("all",)
-
-    rows = []
-    n_samples = 0
-    for a in anchors:
-        for lag in lags:
-            if a == "all":
-                i_idx = np.arange(0, n - lag)
-            else:
-                half = max(2, int(_A2_WINDOW_FRACTION * n / 2))
-                center = int(float(a) * n)
-                i0 = max(0, center - half)
-                i1 = min(n - lag - 1, center + half)
-                if i1 <= i0:
-                    continue
-                i_idx = np.arange(i0, i1)
-            j_idx = i_idx + lag
-            emp, se = _ensemble_cov(reals, i_idx, j_idx)
-            u1 = (i_idx.mean() + 0.5) * dz / ref.depth
-            u2 = (j_idx.mean() + 0.5) * dz / ref.depth
-            target = r_estimate(u1, u2) * (lag * dz) ** -(
-                2.0 - float(spec.h(np.asarray(u1))) - float(spec.h(np.asarray(u2))))
-            rel = abs(emp - target) / abs(target) if target else np.inf
-            rows.append((a if a == "all" else float(a), lag, emp, se,
-                         float(target), float(rel)))
-            n_samples += i_idx.size * len(reals)
-    if not rows or n_samples < _MIN_PAIR_SAMPLES:
-        return A2Report("inconclusive", None, tuple(rows), delta, _LAM,
-                        n_samples)
-
-    targets = np.array([r[4] for r in rows])
-    emps = np.array([r[2] for r in rows])
-    ses = np.array([r[3] for r in rows])
-    if np.all(np.abs(targets) < 1e-30):
-        return A2Report("inconclusive", None, tuple(rows), delta, _LAM,
-                        n_samples)
-    # error bars too wide to discriminate the law from a flat covariance
-    if np.any(3.0 * ses > 0.7 * np.abs(targets)):
-        return A2Report("inconclusive", None, tuple(rows), delta, _LAM,
-                        n_samples)
-    max_rel = float(np.max(np.abs(emps - targets) / np.abs(targets)))
-    ok = np.all(np.abs(emps - targets) <= delta * np.abs(targets) + 3.0 * ses)
-    return A2Report("pass" if ok else "fail", max_rel, tuple(rows), delta, _LAM,
-                    n_samples)
+    u, lag = (g.ravel() for g in np.meshgrid(
+        [0.25, 0.5, 0.75] if varying else [0.5], lags, indexing="ij"))
+    i = (u * n - lag / 2).astype(int)        # the pair centred on u
+    j = i + lag
+    exact = slab_covariance(spec, i, j)
+    u1, u2 = (i + 0.5) * dz / spec.depth, (j + 0.5) * dz / spec.depth
+    k = spec.rank
+    r_scale = asymptotic_covariance_scale(spec.field_index(u1),
+                                          spec.field_index(u2))
+    target = (spec.hermite.coeff(k) ** 2 / math.factorial(k) * r_scale ** k
+              * (lag * dz) ** -(2.0 - spec.h(u1) - spec.h(u2)))
+    rel = np.abs(exact - target) / np.abs(target)
+    anchors = u.tolist() if varying else ["all"] * u.size
+    rows = tuple(zip(anchors, lag.tolist(), exact.tolist(), target.tolist(),
+                     rel.tolist()))
+    max_rel = float(rel.max())
+    return A2Report("pass" if max_rel <= delta else "fail", max_rel, rows,
+                    delta)
 
 
-def check_a3(reals, *, rho=8.0) -> A3Report:
-    """Fit |cov| <= C * |z1 - z2|^(-gamma) on micro-scale pairs
-    (|z1 - z2| < eps^_LAM * rho) and flag non-integrable short-lag growth.
+def check_a3(spec: MediumSpec, *, rho=8.0) -> A3Report:
+    """Fit |cov| <= C * |z1 - z2|^(-gamma) to the exact slab covariance at
+    micro-scale lags (|z1 - z2| <= eps^_LAM * rho), on pairs centred on
+    mid-depth, and flag non-integrable short-lag growth.
 
     A fitted exponent >= 1 fails (the covariance spike would not be
-    integrable); otherwise violations of the fitted bound are counted.
+    integrable), and so does a point above _A3_SLACK times the fit.
+    `MediumSpec` already enforces gamma * K < 1, so for a valid spec the
+    check reports the fitted constants.
     """
-    if len(reals) < 2:
-        raise DomainError("need an ensemble of realizations")
-    ref = reals[0]
-    n = ref.n_slabs
-    dz = ref.dz
-    eps = ref.epsilon
-    max_lag = int(math.floor(eps ** _LAM * rho / dz))
-    lags = [l for l in range(1, max_lag + 1) if l < n]
-    if len(lags) < 2:
-        return A3Report("inconclusive", None, None, 0, (), _LAM, rho, 0)
-
-    rows = []
-    n_samples = 0
-    for lag in lags:
-        i_idx = np.arange(0, n - lag)
-        emp, se = _ensemble_cov(reals, i_idx, i_idx + lag)
-        rows.append((lag, abs(emp), se))
-        n_samples += i_idx.size * len(reals)
-    if n_samples < _MIN_PAIR_SAMPLES:
-        return A3Report("inconclusive", None, None, 0, tuple(rows), _LAM, rho,
-                        n_samples)
-
-    emp = np.array([r[1] for r in rows])
-    ses = np.array([r[2] for r in rows])
-    mask = emp > np.maximum(5.0 * ses, 1e-300)
-    if mask.sum() < 2:
-        return A3Report("inconclusive", None, None, 0, tuple(rows), _LAM, rho,
-                        n_samples)
-    dist = np.array([r[0] * dz for r in rows])
-    slope, intercept = np.polyfit(np.log(dist[mask]), np.log(emp[mask]), 1)
+    n, dz = _checked_grid(spec)
+    max_lag = min(int(math.floor(spec.epsilon ** _LAM * rho / dz)), n - 1)
+    if max_lag < 2:
+        raise DomainError(f"fewer than two A3 lags on {n} slabs, rho {rho}")
+    lags = np.arange(1, max_lag + 1)
+    i = (n - lags) // 2                      # pairs centred on mid-depth
+    exact = np.abs(slab_covariance(spec, i, i + lags))
+    dist = lags * dz
+    slope, intercept = np.polyfit(np.log(dist), np.log(exact), 1)
     gamma_rho = -float(slope)
     c_rho = float(np.exp(intercept))
     # count only gross departures from the fitted law: least-squares scatter
     # always places points above the central line
-    bound = c_rho * dist ** (-gamma_rho)
-    violations = int(np.sum(emp > _A3_SLACK * bound + _A3_SLACK * ses))
+    violations = int(np.sum(exact > _A3_SLACK * c_rho * dist ** (-gamma_rho)))
     status = "fail" if gamma_rho >= 1.0 or violations else "pass"
-    return A3Report(status, c_rho, gamma_rho, violations, tuple(rows), _LAM,
-                    rho, n_samples)
+    rows = tuple(zip(lags.tolist(), exact.tolist()))
+    return A3Report(status, c_rho, gamma_rho, violations, rows, rho)

@@ -130,6 +130,15 @@ class _Medium:
         rel = abs(vt.v2.values[-1] - closed) / abs(closed)
         return rel < 0.01, f"rel {rel:.1e}"
 
+    def a2_exact(self, tol):
+        rep = md.check_a2(self.spec)
+        return rep.status == "pass", f"max rel dev {rep.max_rel_dev:.2e}"
+
+    def a3_exact(self, tol):
+        rep = md.check_a3(self.spec)
+        ok = rep.status == "pass" and 0.0 < rep.gamma_rho < 1.0
+        return ok, f"gamma_rho {rep.gamma_rho:.3f}"
+
 
 class _Propagator:
     """One medium and its spectrum on a 128-point window."""

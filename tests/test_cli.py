@@ -252,8 +252,7 @@ class TestRun:
 
     def test_limits_empty_profiles_exits_one(self, tmp_path, capsys):
         status = run({"mode": "limits", "output_dir": str(tmp_path),
-                      "limits": {"kind": "multifrac", "h": 0.7,
-                                 "profiles": []}})
+                      "limits": {"kind": "multifrac", "profiles": []}})
         assert status == 1
         assert "limits.profiles" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
@@ -262,6 +261,9 @@ class TestRun:
         ("limits.h", {"kind": "fbm", "h": 0.3}),
         ("limits.profiles[0]", {"kind": "multifrac", "profiles": [
             {"kind": "periodic", "mean": 0.7, "amplitude": 0.3}]}),
+        # h is read by fbm and hermite only
+        ("limits.h", {"kind": "multifrac", "h": 0.99}),
+        ("limits.h", {"kind": "multifrac_hermite", "h": 0.99}),
     ])
     def test_limits_index_range_exits_one(self, tmp_path, capsys, key,
                                           limits):

@@ -59,15 +59,6 @@ class TestHermiteCoeffs:
         with pytest.raises(ConfigurationError, match="not centered"):
             hermite_coeffs(Truncation(lambda x: x + 0.3, "shifted"))
 
-    def test_sigma0_scaling(self):
-        # T = identity at sigma0 = 2: J(1) = E[2X * X] = 2
-        s = hermite_coeffs(truncation("identity"), sigma0=2.0)
-        assert s.coeff(1) == pytest.approx(2.0, abs=1e-10)
-
-    def test_parity_metadata(self):
-        assert truncation("cubic").odd is True
-        assert truncation("square_center").odd is False
-
 
 class TestComposedCovariance:
     @given(st.floats(min_value=-1.0, max_value=1.0))

@@ -19,6 +19,8 @@ NAMES = [
     ("medium", "scaling_bilinearity"),
     ("medium", "zero_truncation"),
     ("medium", "v2_closed_form"),
+    ("medium", "a2_exact"),
+    ("medium", "a3_exact"),
     ("propagator", "frozen_slab_closed_form"),
     ("propagator", "energy_conservation"),
     ("propagator", "frequency_mirror"),
