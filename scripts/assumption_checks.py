@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Long-range assumption checks on the exact covariance of one medium spec.
+"""Long-range assumption checks on the model covariance of one medium spec.
 
-Builds the spec, then compares its exact slab covariance with the
+Builds the spec, then compares its closed-form slab covariance with the
 moderate-lag power-law form (A2) and fits the short-lag integrability
 bound (A3).  Exit status: 0 both pass, 2 a check fails, 1 the grid or the
 truncation leaves nothing to check.

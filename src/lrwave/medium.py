@@ -13,7 +13,7 @@ decays with exponent gamma(z) * K = 2 - 2 h(z).
 Both parametrizations (gamma profile or h profile) are accepted and cross
 checked.  Slabs are piecewise constant at their midpoint values, with the
 micro step equal to one micro unit, so a realization with n slabs covers
-n micro correlation lengths.  The slab covariance of a spec is known in
+n micro correlation lengths.  The model slab covariance of a spec is in
 closed form (`slab_covariance`); the paper's assumptions A2 (power law at
 moderate lags) and A3 (integrable short lags) are checked on it.
 """
@@ -325,18 +325,19 @@ def v_triple(real: MediumRealization, omega) -> VTriple:
 
 
 # --------------------------------------------------------------------------
-# the covariance assumptions on the exact slab covariance
+# the covariance assumptions on the model slab covariance
 # --------------------------------------------------------------------------
 
 def slab_covariance(spec: MediumSpec, i, j):
-    """Exact Cov(nu_eps[i], nu_eps[j]) of the slabs of ``spec``:
+    """Model (closed-form) Cov(nu_eps[i], nu_eps[j]) of the slabs of ``spec``:
 
         eps^(2 h_i + 2 h_j - 4) * composed_covariance(hermite, r_ij),
 
     with r_ij = increment_field_covariance(zeta_i, zeta_j, hf_i, hf_j) the
     field covariance at the micro depths zeta = z_mid / eps^2 of the slab
     midpoints, and hf the field index.  Broadcasts over slab indices; the
-    zero truncation gives zeros.
+    zero truncation gives zeros.  Not the covariance of `build_medium`'s
+    samples, which go through a discretized spectral grid.
     """
     if spec.kind != "long_range":
         raise DomainError("a mixing medium has no closed-form slab covariance")
@@ -381,7 +382,7 @@ def _checked_grid(spec: MediumSpec):
 
 
 def check_a2(spec: MediumSpec, *, delta=0.3) -> A2Report:
-    """Compare the exact slab covariance with the power-law form
+    """Compare the model slab covariance with the power-law form
     (J(K)^2 / K!) R(hf1, hf2)^K |z1 - z2|^(-(2 - h1 - h2)) at moderate lags.
 
     Lags start beyond eps^_LAM * _A2_Z_DELTA and double up to an eighth of
@@ -419,14 +420,13 @@ def check_a2(spec: MediumSpec, *, delta=0.3) -> A2Report:
 
 
 def check_a3(spec: MediumSpec, *, rho=8.0) -> A3Report:
-    """Fit |cov| <= C * |z1 - z2|^(-gamma) to the exact slab covariance at
+    """Fit |cov| <= C * |z1 - z2|^(-gamma) to the model slab covariance at
     micro-scale lags (|z1 - z2| <= eps^_LAM * rho), on pairs centred on
     mid-depth, and flag non-integrable short-lag growth.
 
-    A fitted exponent >= 1 fails (the covariance spike would not be
-    integrable), and so does a point above _A3_SLACK times the fit.
-    `MediumSpec` already enforces gamma * K < 1, so for a valid spec the
-    check reports the fitted constants.
+    A fitted exponent >= 1 fails, and so does a point above _A3_SLACK times
+    the fit.  The fit reads the pre-asymptotic decay, steeper than gamma*K:
+    valid specs fail from gamma*K = 0.895 on (K = 1; gamma_rho 1.002 there).
     """
     n, dz = _checked_grid(spec)
     max_lag = min(int(math.floor(spec.epsilon ** _LAM * rho / dz)), n - 1)
