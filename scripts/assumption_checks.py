@@ -31,7 +31,7 @@ def main():
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"moderate-lag power law: {a2.status}"
-          f" (max rel dev {a2.max_rel_dev:.3f}, delta {a2.delta})")
+          f" (max rel dev {a2.max_rel_dev:.3f}, delta {args.delta})")
     for row in a2.rows:
         print("  window %s lag %4d: exact %.4f target %.4f" % row[:4])
     print(f"short-lag integrability: {a3.status}"

@@ -29,6 +29,11 @@ LIMIT_KINDS = ("fbm", "hermite", "multifrac", "multifrac_hermite")
 
 # depths of [0, 1] at which each limits.profiles entry is range-checked
 _PROFILE_CHECK_POINTS = 257
+# index profiles of the multifractional kinds when limits.profiles is not given
+_DEFAULT_PROFILES = (
+    {"kind": "linear", "start": 0.55, "end": 0.85},
+    {"kind": "periodic", "mean": 0.7, "amplitude": 0.15, "cycles": 2.0},
+)
 
 _JSON_TYPES = {float: "a finite number", int: "an integer", str: "a string",
                dict: "a JSON object"}
@@ -160,10 +165,7 @@ class LimitsBlock:
     n: int = 1 << 16
     k: int = 1
     h: float | None = None
-    profiles: tuple[dict, ...] = (
-        {"kind": "linear", "start": 0.55, "end": 0.85},
-        {"kind": "periodic", "mean": 0.7, "amplitude": 0.15, "cycles": 2.0},
-    )
+    profiles: tuple[dict, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in LIMIT_KINDS:
@@ -183,10 +185,17 @@ class LimitsBlock:
                 raise ConfigurationError(
                     f"limits.h must lie in (1/2, 1) for kind {self.kind!r}, "
                     f"got {self.h!r}")
-        elif self.h is not None:
+            if self.profiles is not None:
+                raise ConfigurationError(
+                    f"limits.profiles is not read by kind {self.kind!r}; its "
+                    "constant index is limits.h")
+            return
+        if self.h is not None:
             raise ConfigurationError(
                 f"limits.h is not read by kind {self.kind!r}; its index "
                 "profiles are limits.profiles")
+        if self.profiles is None:
+            object.__setattr__(self, "profiles", _DEFAULT_PROFILES)
         elif not self.profiles:
             raise ConfigurationError(
                 f"limits.profiles is empty; kind {self.kind!r} needs at "

@@ -98,10 +98,6 @@ class Trajectory:
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "values", v)
 
-    @property
-    def dt(self) -> float:
-        return float(self.t_grid[1] - self.t_grid[0])
-
     def __len__(self) -> int:
         return self.t_grid.size
 
@@ -565,7 +561,6 @@ class FieldCovariance:
     closed form it was checked against."""
 
     value: float
-    error_estimate: float
     closed_form: float
 
     def __float__(self):
@@ -639,5 +634,4 @@ def field_covariance(z1, z2, h1, h2) -> FieldCovariance:
         raise QuadratureError(
             f"field covariance quadrature ({value:.6e}) disagrees with the "
             f"closed form ({closed:.6e})", residual=abs(value - closed))
-    return FieldCovariance(value=float(value), error_estimate=float(err),
-                           closed_form=closed)
+    return FieldCovariance(value=float(value), closed_form=closed)

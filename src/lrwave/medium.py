@@ -130,18 +130,14 @@ class MediumSpec:
     n_slabs: int | None = None
     seed: int | tuple = 0
     level_spacing: float = 0.01
-    kind: str = "long_range"
 
     def __post_init__(self):
-        if not (0 < self.epsilon < 1):
-            raise ConfigurationError("epsilon must lie in (0, 1)")
         if self.tau <= 0 or self.depth <= 0:
             raise ConfigurationError("tau and depth must be positive")
+        self.resolved_slabs()       # epsilon, slab budget and micro scale
         if not (math.isfinite(self.level_spacing) and self.level_spacing > 0):
             raise ConfigurationError("level_spacing must be finite and "
                                      f"positive, got {self.level_spacing!r}")
-        if self.kind == "mixing":
-            return
         if (self.gamma_profile is None) == (self.h_profile is None):
             raise ConfigurationError(
                 "give exactly one of gamma_profile and h_profile")
@@ -186,22 +182,30 @@ class MediumSpec:
         return (2.0 - self.gamma(u)) / 2.0
 
     def resolved_slabs(self) -> int:
-        if self.n_slabs is not None:
-            n = int(self.n_slabs)
-        else:
-            n = int(math.ceil(self.depth / self.epsilon ** 2))
-        if n < 1:
-            raise ConfigurationError("need at least one slab")
-        if n > MAX_SLABS:
-            raise ConfigurationError(
-                f"slab budget exceeded: {n} > {MAX_SLABS}; increase epsilon or "
-                "lower the depth")
-        dz = self.depth / n
-        if dz > self.epsilon ** 2 * (1.0 + 1e-9):
-            raise ConfigurationError(
-                "slab width does not resolve the micro scale: "
-                f"dz = {dz:.3e} > eps^2 = {self.epsilon ** 2:.3e}")
-        return n
+        return _slab_count(self.epsilon, self.depth, self.n_slabs)
+
+
+def _slab_count(epsilon, depth, n_slabs=None) -> int:
+    """Slabs of a medium on [0, depth]: ``n_slabs``, or by default the
+    fewest whose width resolves the micro scale eps^2."""
+    if not (0 < epsilon < 1):
+        raise ConfigurationError("epsilon must lie in (0, 1)")
+    if n_slabs is not None:
+        n = int(n_slabs)
+    else:
+        n = int(math.ceil(depth / epsilon ** 2))
+    if n < 1:
+        raise ConfigurationError("need at least one slab")
+    if n > MAX_SLABS:
+        raise ConfigurationError(
+            f"slab budget exceeded: {n} > {MAX_SLABS}; increase epsilon or "
+            "lower the depth")
+    dz = depth / n
+    if dz > epsilon ** 2 * (1.0 + 1e-9):
+        raise ConfigurationError(
+            "slab width does not resolve the micro scale: "
+            f"dz = {dz:.3e} > eps^2 = {epsilon ** 2:.3e}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -257,30 +261,28 @@ def build_medium(spec: MediumSpec) -> MediumRealization:
     if not np.all(np.isfinite(nu_eps)):
         raise ConfigurationError("medium contains non-finite fluctuations")
     return MediumRealization(z_grid=z_grid, nu_eps=nu_eps, epsilon=eps,
-                             tau=spec.tau, meta={"seed": spec.seed})
+                             tau=spec.tau)
 
 
 def white_medium(epsilon, seed=0, *, variance=1.0) -> MediumRealization:
-    """Mixing (short-range) fixture on [0, 1]: i.i.d. slab noise scaled by
-    1/eps (the MediumSpec defaults depth = tau = 1).
+    """Mixing (short-range) fixture on [0, 1] with tau = 1: i.i.d. slab
+    noise scaled by 1/eps, on the slabs a MediumSpec of that epsilon gets.
 
     The effective correlation parameter is sigma^2 = variance * micro_width/2
     (triangle covariance of piecewise-constant unit cells), stored in meta;
     the limiting transmitted pulse spreads by a Gaussian of variance
     sigma^2 * depth / 2.
     """
-    spec = MediumSpec(epsilon=epsilon, seed=seed, kind="mixing")
-    n = spec.resolved_slabs()
-    dz = spec.depth / n
+    n = _slab_count(epsilon, 1.0)
+    dz = 1.0 / n
     rng = np.random.default_rng(seed)
     micro = math.sqrt(variance) * rng.standard_normal(n)
-    nu_eps = micro / epsilon ** spec.tau
+    nu_eps = micro / epsilon
     z_grid = dz * np.arange(n + 1)
     micro_width = dz / epsilon ** 2
     return MediumRealization(z_grid=z_grid, nu_eps=nu_eps, epsilon=epsilon,
-                             tau=spec.tau,
-                             meta={"seed": seed, "kind": "mixing",
-                                   "sigma_sq": variance * micro_width / 2.0})
+                             tau=1.0,
+                             meta={"sigma_sq": variance * micro_width / 2.0})
 
 
 # --------------------------------------------------------------------------
@@ -339,8 +341,6 @@ def slab_covariance(spec: MediumSpec, i, j):
     zero truncation gives zeros.  Not the covariance of `build_medium`'s
     samples, which go through a discretized spectral grid.
     """
-    if spec.kind != "long_range":
-        raise DomainError("a mixing medium has no closed-form slab covariance")
     i, j = np.broadcast_arrays(np.asarray(i), np.asarray(j))
     if spec.hermite is None:
         return np.zeros(i.shape)
@@ -359,7 +359,6 @@ class A2Report:
     status: str                  # pass | fail
     max_rel_dev: float
     rows: tuple                  # (anchor_u, lag, exact, target, rel_dev)
-    delta: float
 
 
 @dataclass(frozen=True)
@@ -369,14 +368,13 @@ class A3Report:
     gamma_rho: float
     violations: int
     rows: tuple                  # (lag, |exact|)
-    rho: float
 
 
 def _checked_grid(spec: MediumSpec):
     """(n, dz) of a spec whose slab covariance the checks can read."""
     if spec.hermite is None:
         raise DomainError("no long-range covariance to check: zero "
-                          "truncation or mixing medium")
+                          "truncation")
     n = spec.resolved_slabs()
     return n, spec.depth / n
 
@@ -415,8 +413,7 @@ def check_a2(spec: MediumSpec, *, delta=0.3) -> A2Report:
     rows = tuple(zip(anchors, lag.tolist(), exact.tolist(), target.tolist(),
                      rel.tolist()))
     max_rel = float(rel.max())
-    return A2Report("pass" if max_rel <= delta else "fail", max_rel, rows,
-                    delta)
+    return A2Report("pass" if max_rel <= delta else "fail", max_rel, rows)
 
 
 def check_a3(spec: MediumSpec, *, rho=8.0) -> A3Report:
@@ -444,4 +441,4 @@ def check_a3(spec: MediumSpec, *, rho=8.0) -> A3Report:
     violations = int(np.sum(exact > _A3_SLACK * c_rho * dist ** (-gamma_rho)))
     status = "fail" if gamma_rho >= 1.0 or violations else "pass"
     rows = tuple(zip(lags.tolist(), exact.tolist()))
-    return A3Report(status, c_rho, gamma_rho, violations, rows, rho)
+    return A3Report(status, c_rho, gamma_rho, violations, rows)

@@ -20,7 +20,7 @@ frequencies in a spectrum mirror by conjugation (the medium is real).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +44,8 @@ _BLOCK = 256
 
 @dataclass(frozen=True)
 class PropagatorState:
-    """Propagator entries at depth z for one frequency; |alpha|^2 - |beta|^2
-    stays 1 up to float accumulation.
+    """Propagator entries at the bottom of a medium for one frequency;
+    |alpha|^2 - |beta|^2 stays 1 up to float accumulation.
 
     Drift is measured relative to |alpha|^2 (for strongly scattered
     frequencies the absolute defect is amplified by the entry magnitudes);
@@ -54,8 +54,6 @@ class PropagatorState:
 
     alpha: complex
     beta: complex
-    z: float
-    omega: float
 
     @property
     def det_drift(self) -> float:
@@ -100,7 +98,6 @@ class TransmissionSpectrum:
     R: np.ndarray
     det_drift: float
     active: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def conservation_defect(self) -> float:
         mask = slice(None) if self.active is None else self.active
@@ -164,8 +161,7 @@ def propagate(real: MediumRealization, omega) -> PropagatorState:
     alpha, beta, _ = _slab_product(
         np.array([omega]), real.nu_eps, real.z_grid[:-1], real.dz, eps_tau,
         _substeps(omega, real.dz, eps_tau))
-    return PropagatorState(alpha=complex(alpha[0]), beta=complex(beta[0]),
-                           z=real.depth, omega=omega)
+    return PropagatorState(alpha=complex(alpha[0]), beta=complex(beta[0]))
 
 
 def transmission(state: PropagatorState):
@@ -228,5 +224,4 @@ def spectrum(real: MediumRealization, grid: FrequencyGrid, *,
     r_arr[neg] = np.conj(r_arr[k])
 
     return TransmissionSpectrum(grid=grid, T=t_arr, R=r_arr, det_drift=drift,
-                                active=None if active is None else need,
-                                meta={"epsilon": real.epsilon, "tau": real.tau})
+                                active=None if active is None else need)

@@ -8,7 +8,7 @@ to roundoff (asserted, never silently truncated).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class SourcePulse:
     values: np.ndarray
     fhat: np.ndarray
     grid: FrequencyGrid
-    descriptor: str = "custom"
 
     @property
     def ds(self) -> float:
@@ -59,8 +58,6 @@ class PulseTrace:
 
     s_grid: np.ndarray
     values: np.ndarray
-    side: str = "transmitted"
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -73,9 +70,9 @@ class PulseDistance:
 def _forward(s_grid, values):
     n = values.size
     ds = float(s_grid[1] - s_grid[0])
-    omegas = 2.0 * np.pi * np.fft.fftfreq(n, ds)
-    fhat = ds * n * np.fft.ifft(values) * np.exp(1j * omegas * s_grid[0])
-    return fhat, FrequencyGrid(omegas)
+    grid = FrequencyGrid.for_window(n, ds)
+    fhat = ds * n * np.fft.ifft(values) * np.exp(1j * grid.omegas * s_grid[0])
+    return fhat, grid
 
 
 def _inverse(s_grid, spectrum_values, omegas):
@@ -98,11 +95,10 @@ def _check_band_limited(fhat, tol=1e-6):
             f"spectral energy sits in the top octave (> {tol:.0e})")
 
 
-def _make_source(s_grid, values, descriptor):
+def _make_source(s_grid, values):
     fhat, grid = _forward(s_grid, values)
     _check_band_limited(fhat)
-    return SourcePulse(s_grid=s_grid, values=values, fhat=fhat, grid=grid,
-                       descriptor=descriptor)
+    return SourcePulse(s_grid=s_grid, values=values, fhat=fhat, grid=grid)
 
 
 def _window(width, window_lengths, n):
@@ -123,19 +119,17 @@ def _window(width, window_lengths, n):
 def gaussian_source(width=1.0, window_lengths=16.0, n=4096) -> SourcePulse:
     """f(s) = exp(-s^2 / 2 width^2) on a window of ``window_lengths`` widths."""
     s = _window(width, window_lengths, n)
-    return _make_source(s, np.exp(-0.5 * (s / width) ** 2),
-                        f"gaussian(width={width})")
+    return _make_source(s, np.exp(-0.5 * (s / width) ** 2))
 
 
 def ricker_source(width=1.0, window_lengths=16.0, n=4096) -> SourcePulse:
     """Second-derivative-of-Gaussian wavelet, normalized to unit peak."""
     s = _window(width, window_lengths, n)
     q = (s / width) ** 2
-    return _make_source(s, (1.0 - q) * np.exp(-0.5 * q),
-                        f"ricker(width={width})")
+    return _make_source(s, (1.0 - q) * np.exp(-0.5 * q))
 
 
-def _synthesize(tspec: TransmissionSpectrum, f: SourcePulse, coeffs, side) -> PulseTrace:
+def _synthesize(tspec: TransmissionSpectrum, f: SourcePulse, coeffs) -> PulseTrace:
     if tspec.grid.n != f.grid.n or not np.allclose(
             tspec.grid.omegas, f.grid.omegas, rtol=1e-12, atol=1e-12):
         raise ConfigurationError(
@@ -155,18 +149,17 @@ def _synthesize(tspec: TransmissionSpectrum, f: SourcePulse, coeffs, side) -> Pu
         raise ConfigurationError(
             f"synthesized trace is not real: imaginary residual {resid:.2e} "
             f"against peak {peak:.2e}")
-    return PulseTrace(s_grid=f.s_grid, values=values.real, side=side,
-                      meta=dict(tspec.meta))
+    return PulseTrace(s_grid=f.s_grid, values=values.real)
 
 
 def transmitted_pulse(tspec: TransmissionSpectrum, f: SourcePulse) -> PulseTrace:
     """Window-frame transmitted trace: inverse transform of T(w) fhat(w)."""
-    return _synthesize(tspec, f, tspec.T, "transmitted")
+    return _synthesize(tspec, f, tspec.T)
 
 
 def reflected_pulse(tspec: TransmissionSpectrum, f: SourcePulse) -> PulseTrace:
     """Window-frame reflected trace (diagnostic; no limit law is claimed)."""
-    return _synthesize(tspec, f, tspec.R, "reflected")
+    return _synthesize(tspec, f, tspec.R)
 
 
 def _spectral_shift(f: SourcePulse, shift) -> np.ndarray:
@@ -185,8 +178,7 @@ def theory_longrange(f: SourcePulse, v_of_z: float) -> PulseTrace:
         raise WindowError(
             f"time shift {b:.3f} leaves the window (quarter length "
             f"{0.25 * f.window:.3f})")
-    return PulseTrace(s_grid=f.s_grid, values=_spectral_shift(f, b),
-                      side="transmitted", meta={"kind": "longrange", "shift": b})
+    return PulseTrace(s_grid=f.s_grid, values=_spectral_shift(f, b))
 
 
 def theory_shortrange(f: SourcePulse, sigma, depth, b_shift=0.0) -> PulseTrace:
@@ -198,9 +190,7 @@ def theory_shortrange(f: SourcePulse, sigma, depth, b_shift=0.0) -> PulseTrace:
     kernel = np.exp(-0.25 * sigma ** 2 * depth * f.grid.omegas ** 2
                     + 1j * f.grid.omegas * b)
     values = _inverse(f.s_grid, f.fhat * kernel, f.grid.omegas).real
-    return PulseTrace(s_grid=f.s_grid, values=values, side="transmitted",
-                      meta={"kind": "shortrange", "sigma": float(sigma),
-                            "depth": float(depth), "shift": b})
+    return PulseTrace(s_grid=f.s_grid, values=values)
 
 
 def pulse_distance(a: PulseTrace, b: PulseTrace) -> PulseDistance:
@@ -227,7 +217,7 @@ def pulse_distance(a: PulseTrace, b: PulseTrace) -> PulseDistance:
 
     # raw-DFT convention: advancing the sequence by tau multiplies its
     # transform by exp(+i w tau)
-    omegas = 2.0 * np.pi * np.fft.fftfreq(n, ds)
+    omegas = FrequencyGrid.for_window(n, ds).omegas
     aligned = np.fft.ifft(fb * np.exp(1j * omegas * best_shift)).real
     diff = a.values - aligned
     return PulseDistance(l2=float(math.sqrt(np.sum(diff ** 2) * ds)),

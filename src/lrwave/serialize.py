@@ -121,24 +121,22 @@ def write_pulse(path, trace) -> Path:
 
 def medium_manifest(spec) -> dict:
     """JSON-able description of a medium spec, profiles tabulated at
-    _PROFILE_POINTS depths."""
+    _PROFILE_POINTS depths.  ``kind`` is a constant of the format."""
     u = np.linspace(0.0, 1.0, _PROFILE_POINTS)
-    entry = {
+    return {
         "epsilon": spec.epsilon,
         "tau": spec.tau,
         "depth": spec.depth,
-        "kind": spec.kind,
+        "kind": "long_range",
         "seed": list(spec.seed) if isinstance(spec.seed, tuple) else spec.seed,
-        "n_slabs": spec.resolved_slabs() if spec.kind == "long_range" else spec.n_slabs,
+        "n_slabs": spec.resolved_slabs(),
         "truncation": {"name": spec.truncation.name,
                        **dict(spec.truncation.params)},
-    }
-    if spec.kind == "long_range":
-        entry["hermite_rank"] = spec.rank
-        entry["profiles"] = {
+        "hermite_rank": spec.rank,
+        "profiles": {
             "u": [float(x) for x in u],
             "gamma": [float(x) for x in spec.gamma(u)],
             "h": [float(x) for x in spec.h(u)],
             "field_index": [float(x) for x in spec.field_index(u)],
-        }
-    return entry
+        },
+    }

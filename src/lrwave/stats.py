@@ -21,8 +21,6 @@ __all__ = [
 
 # block-bootstrap stream and interval level of the regularity estimators
 _BOOT_SEED, _CI_LEVEL = 0, 0.95
-# exponent c of the weighted p-variation aggregate sum_n n^c S_n(p)
-_P_VARIATION_WEIGHT = 2.0
 
 
 @dataclass(frozen=True)
@@ -30,8 +28,6 @@ class EstimateWithCI:
     value: float
     ci_low: float
     ci_high: float
-    method: str
-    n: int
     boundary: bool = False
 
     def __post_init__(self):
@@ -41,11 +37,7 @@ class EstimateWithCI:
 
 @dataclass(frozen=True)
 class PVariationReport:
-    p: float
-    depth: int
     dyadic_sums: np.ndarray     # S_n(p) for n = 1..depth
-    weighted_bound: float       # sum_n n^c S_n(p)
-    weight_exponent: float
     bounded: bool               # no growth of S_n over the deepest levels
     trend: float                # fitted slope of log S_n per level
 
@@ -108,12 +100,10 @@ def _hurst_core(values, *, n_boot, min_len, trim=4):
     if n_boot and not boundary:
         lo, hi = _block_bootstrap_ci(values, scales, n_boot)
         lo, hi = min(lo, h), max(hi, h)
-        method = "aggregated-variance/block-bootstrap"
     else:
         lo = hi = h
-        method = "aggregated-variance"
     return EstimateWithCI(value=h, ci_low=float(lo), ci_high=float(hi),
-                          method=method, n=int(values.size), boundary=boundary)
+                          boundary=boundary)
 
 
 def hurst_estimate(traj: Trajectory, *, n_boot=1000) -> EstimateWithCI:
@@ -150,13 +140,11 @@ def local_hurst(traj: Trajectory, t0, window=None, *,
 
 
 def dyadic_p_variation(traj: Trajectory, p, max_depth=None) -> PVariationReport:
-    """Dyadic-level p-th power increment sums S_n(p) and their weighted
-    aggregate sum_n n^c S_n(p), c = _P_VARIATION_WEIGHT.
+    """Dyadic-level p-th power increment sums S_n(p).
 
     S_n bounded in n indicates finite p-variation (expected for p above the
     reciprocal of the path's regularity index); the reported trend is the
-    fitted slope of log S_n over the deepest half of the levels.  The
-    weighted aggregate is a diagnostic, not a certified bound.
+    fitted slope of log S_n over the deepest half of the levels.
     """
     p = float(p)
     if p < 1.0:
@@ -175,15 +163,12 @@ def dyadic_p_variation(traj: Trajectory, p, max_depth=None) -> PVariationReport:
         idx = np.round(np.linspace(0, n_pts - 1, (1 << lvl) + 1)).astype(int)
         sums[lvl - 1] = np.sum(np.abs(np.diff(w[idx])) ** p)
     levels = np.arange(1, max_depth + 1)
-    weighted = float(np.sum(levels ** _P_VARIATION_WEIGHT * sums))
     half = max_depth // 2
     tail_levels = levels[half:]
     tail = np.maximum(sums[half:], 1e-300)
     trend = float(np.polyfit(tail_levels, np.log(tail), 1)[0]) if tail.size > 1 else 0.0
-    return PVariationReport(p=p, depth=max_depth, dyadic_sums=sums,
-                            weighted_bound=weighted,
-                            weight_exponent=_P_VARIATION_WEIGHT,
-                            bounded=trend <= 0.0, trend=trend)
+    return PVariationReport(dyadic_sums=sums, bounded=trend <= 0.0,
+                            trend=trend)
 
 
 _STATISTICS = {
@@ -209,5 +194,4 @@ def mc_aggregate(records, statistic="mean", *, level=0.95, n_boot=1000,
     boots = np.array([fn(x[row]) for row in idx])
     lo, hi = np.quantile(boots, [(1 - level) / 2, 1 - (1 - level) / 2])
     lo, hi = min(float(lo), value), max(float(hi), value)
-    return EstimateWithCI(value=value, ci_low=lo, ci_high=hi,
-                          method=f"bootstrap[{statistic}]", n=int(x.size))
+    return EstimateWithCI(value=value, ci_low=lo, ci_high=hi)

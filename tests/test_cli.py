@@ -74,6 +74,16 @@ class TestConfig:
         assert tuple(modes.split(" | ")) == MODES
         assert tuple(kinds.split(" | ")) == LIMIT_KINDS
 
+    def test_limits_profiles_resolve_by_kind(self):
+        """The multifractional kinds fill in the two default profiles; fbm
+        and hermite, which read limits.h, resolve them to null."""
+        multi = ExperimentConfig.from_dict({"limits": {"kind": "multifrac"}})
+        assert [p["kind"] for p in multi.resolved()["limits"]["profiles"]] \
+            == ["linear", "periodic"]
+        fbm = ExperimentConfig.from_dict({"limits": {"kind": "fbm", "h": 0.7}})
+        assert fbm.resolved()["limits"]["profiles"] is None
+        assert ExperimentConfig.from_dict(fbm.resolved()) == fbm
+
     def test_manifest_unwrapping(self):
         cfg = ExperimentConfig.from_dict({"mode": "synth"})
         wrapped = {"config": cfg.resolved(), "artifacts": []}
@@ -264,6 +274,11 @@ class TestRun:
         # h is read by fbm and hermite only
         ("limits.h", {"kind": "multifrac", "h": 0.99}),
         ("limits.h", {"kind": "multifrac_hermite", "h": 0.99}),
+        # profiles are read by multifrac and multifrac_hermite only
+        ("limits.profiles", {"kind": "fbm", "h": 0.7, "n": 512, "profiles": [
+            {"kind": "linear", "start": 0.6, "end": 0.8}]}),
+        ("limits.profiles", {"kind": "hermite", "h": 0.7, "k": 2,
+                             "profiles": []}),
     ])
     def test_limits_index_range_exits_one(self, tmp_path, capsys, key,
                                           limits):

@@ -3,6 +3,7 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lrwave
@@ -31,12 +32,34 @@ def test_package_names_are_declared():
     assert not undeclared
 
 
+def _tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    return importlib.import_module("tracer")
+
+
 def test_perfbench_hooks_resolve(monkeypatch):
     """Every layer function the benchmark tracer patches exists under its
     name, so a rename fails here rather than in ``Tracer.install``."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
-                                    / "perfbench"))
-    tracer = importlib.import_module("tracer")
+    tracer = _tracer(monkeypatch)
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _, _ in tracer.HOOKS if attr not in vars(owner)]
     assert not missing
+
+
+def test_perfbench_counters_read_results(monkeypatch):
+    """The tracer's counters read attributes of real layer results, so a
+    trimmed attribute fails here rather than in a traced benchmark run."""
+    tracer = _tracer(monkeypatch)
+    spec = lrwave.MediumSpec(epsilon=0.2,
+                             gamma_profile=lrwave.constant_profile(0.8))
+    real = lrwave.build_medium(spec)
+    assert tracer._slabs(real, (spec,), {}) == {"slabs": 25}
+    grid = lrwave.FrequencyGrid.for_window(16, 0.5)
+    # no mask: omega index 0..7 and the unpaired Nyquist entry are computed
+    for active, freqs in ((None, 9), (np.abs(grid.omegas) < 2.0, 3)):
+        tspec = lrwave.spectrum(real, grid, active=active)
+        counts = tracer._spectrum_counts(tspec, (real, grid),
+                                         {"active": active})
+        assert counts["frequencies"] == freqs
+        assert counts["steps"] >= real.n_slabs

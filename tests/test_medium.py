@@ -242,6 +242,11 @@ class TestLimitMatching:
 class TestMixingFixture:
     def test_white_medium_meta(self):
         r = white_medium(0.1, seed=3, variance=1.0)
-        assert r.meta["kind"] == "mixing"
         assert r.meta["sigma_sq"] == pytest.approx(0.5)
         assert r.n_slabs == 100
+
+    @pytest.mark.parametrize("eps, match", [
+        (0.0, "epsilon"), (1.5, "epsilon"), (1e-4, "budget")])
+    def test_white_medium_rejects_epsilon(self, eps, match):
+        with pytest.raises(ConfigurationError, match=match):
+            white_medium(eps)

@@ -77,7 +77,7 @@ class TestPropagate:
 
 class TestTransmission:
     def test_identity_state(self):
-        st_ = PropagatorState(alpha=1.0 + 0j, beta=0.0j, z=1.0, omega=0.0)
+        st_ = PropagatorState(alpha=1.0 + 0j, beta=0.0j)
         t, r = transmission(st_)
         assert t == 1.0 and r == 0.0
 
@@ -89,7 +89,7 @@ class TestTransmission:
         assert abs(r) ** 2 == pytest.approx(0.5, rel=1e-12)
 
     def test_corrupted_state_rejected(self):
-        bad = PropagatorState(alpha=0.5 + 0j, beta=0.0j, z=1.0, omega=1.0)
+        bad = PropagatorState(alpha=0.5 + 0j, beta=0.0j)
         with pytest.raises(StateError):
             transmission(bad)
 

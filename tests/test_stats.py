@@ -120,13 +120,6 @@ class TestDyadicPVariation:
         with pytest.raises(DomainError):
             dyadic_p_variation(tr, 0.5, 4)
 
-    def test_weighted_bound_dominates_levels(self):
-        tr = fbm_traj(0.75, 1 << 12, seed=81)
-        rep = dyadic_p_variation(tr, 2.0, 8)
-        levels = np.arange(1, rep.depth + 1)
-        assert np.all(rep.weighted_bound
-                      >= levels ** rep.weight_exponent * rep.dyadic_sums - 1e-12)
-
 
 class TestMcAggregate:
     def test_constant_records(self):
