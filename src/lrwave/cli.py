@@ -4,7 +4,7 @@ Modes
 -----
 synth      sample media, write CSV + manifest
 propagate  media -> spectra -> window-frame pulses + per-realization records
-sweep      ensembles across epsilon: pulse-law summaries per cell
+sweep      ensembles across epsilon: a pulse-law summary line per cell
 limits     trajectory CSVs of the limiting processes for external plotting
 verify     run the invariant table of `lrwave.verify`; exit 2 on failure
 
@@ -136,6 +136,9 @@ def _run_sweep(cfg: ExperimentConfig, out, artifacts):
             "median_width_ratio": float(np.median(widths)),
             "shift_vs_v1_corr": corr,
         })
+        print("[sweep] epsilon {epsilon:g} median_l2 {median_l2:.6g} "
+              "median_width_ratio {median_width_ratio:.6g} "
+              "shift_vs_v1_corr {shift_vs_v1_corr:.6g}".format(**cells[-1]))
     artifacts.append(write_json(out / "records.json", all_records))
     artifacts.append(write_json(out / "sweep.json", cells))
     return {"cells": len(cells),
@@ -207,7 +210,6 @@ def run(config, *, overrides=None) -> int:
             cfg = ExperimentConfig.from_dict(data)
 
         out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         artifacts = []
         runner = {"synth": _run_synth, "propagate": _run_propagate,
                   "sweep": _run_sweep, "limits": _run_limits,

@@ -18,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .hermite import truncation
+from .limits import _checked_index
 from .medium import MediumSpec, profile_from_config
 from .pulse import gaussian_source, ricker_source
 from .verify import TOLERANCES
@@ -74,9 +75,14 @@ def _check_entry(build, cfg: dict, label: str, key: str):
     finite number, and ``build`` accepts them (known kind and parameters)."""
     for name, value in cfg.items():
         _value(str if name == label else float, value, f"{key}.{name}")
+    _named(key, build, cfg)
+
+
+def _named(key: str, build, *args):
+    """``build(*args)``, with a rejection reported under the config ``key``."""
     try:
-        build(cfg)
-    except ConfigurationError as exc:
+        return build(*args)
+    except (ConfigurationError, DomainError) as exc:
         raise ConfigurationError(f"{key}: {exc}") from None
 
 
@@ -114,6 +120,7 @@ class MediumBlock:
             if getattr(self, key) is not None:
                 _check_entry(profile_from_config, getattr(self, key), "kind",
                              f"medium.{key}")
+        _named("medium", self.to_spec, 0)
 
     def to_spec(self, seed, epsilon=None) -> MediumSpec:
         trunc = _truncation_from_config(self.truncation)
@@ -136,12 +143,15 @@ class SourceBlock:
     window_lengths: float = 16.0
     n: int = 4096
 
+    def __post_init__(self):
+        self.build()
+
     def build(self):
         if self.kind == "gaussian":
             return gaussian_source(self.width, self.window_lengths, self.n)
         if self.kind == "ricker":
             return ricker_source(self.width, self.window_lengths, self.n)
-        raise ConfigurationError(f"unknown source kind {self.kind!r}")
+        raise ConfigurationError(f"unknown source.kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -157,6 +167,10 @@ class EnsembleBlock:
 @dataclass(frozen=True)
 class SweepBlock:
     epsilons: tuple[float, ...] = (0.1, 0.05, 0.025)
+
+    def __post_init__(self):
+        if not self.epsilons:
+            raise ConfigurationError("sweep.epsilons needs at least one")
 
 
 @dataclass(frozen=True)
@@ -202,13 +216,9 @@ class LimitsBlock:
                 "least one index profile")
         u = np.linspace(0.0, 1.0, _PROFILE_CHECK_POINTS)
         for i, prof in enumerate(self.profiles):
-            key = f"limits.profiles[{i}]"
-            _check_entry(profile_from_config, prof, "kind", key)
-            h = profile_from_config(prof)(u)
-            if not np.all((h > 0.5) & (h < 1.0)):
-                raise ConfigurationError(
-                    f"{key} leaves (1/2, 1) on [0, 1]: range "
-                    f"[{h.min():.3f}, {h.max():.3f}]")
+            _check_entry(lambda p: _checked_index(profile_from_config(p)(u),
+                                                  u.shape),
+                         prof, "kind", f"limits.profiles[{i}]")
 
 
 @dataclass(frozen=True)
@@ -230,6 +240,9 @@ class ExperimentConfig:
                 f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.seed < 0:      # numpy seed sequences take no negative entry
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if self.mode == "sweep":
+            for i, eps in enumerate(self.sweep.epsilons):
+                _named(f"sweep.epsilons[{i}]", self.medium.to_spec, 0, eps)
         _reject_unknown(self.tolerances, TOLERANCES, "tolerances")
         for key, value in self.tolerances.items():
             if _value(float, value, f"tolerances.{key}") <= 0:

@@ -563,9 +563,6 @@ class FieldCovariance:
     value: float
     closed_form: float
 
-    def __float__(self):
-        return self.value
-
 
 def _cos_tail(w, q, b, epsabs):
     """int_b^inf cos(w x) x^q dx for q < -1."""

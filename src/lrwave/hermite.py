@@ -149,12 +149,8 @@ def hermite_coeffs(t: Truncation) -> HermiteSpec:
         raise ConfigurationError(
             f"truncation {t.name!r} is not centered: E[T(X)] = {j0:.3e}")
 
-    coeffs = np.empty(_K_MAX)
-    prev = np.ones_like(nodes)
-    cur = nodes.copy()
-    for k in range(1, _K_MAX + 1):
-        coeffs[k - 1] = np.dot(weights, ty * cur)
-        prev, cur = cur, nodes * cur - k * prev
+    coeffs = np.array([np.dot(weights, ty * hermite_poly(k, nodes))
+                       for k in range(1, _K_MAX + 1)])
 
     above = np.nonzero(np.abs(coeffs) > _RANK_TOL)[0]
     if above.size == 0:

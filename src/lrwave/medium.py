@@ -51,10 +51,13 @@ __all__ = [
 ]
 
 MAX_SLABS = 1 << 22
+# largest phase increment omega * dz / eps^tau of a v_triple or propagator step
+MAX_PHASE_STEP = np.pi / 8.0
 
 # assumption checks: pair lags are measured against eps^_LAM; A2 keeps lags
-# beyond _A2_Z_DELTA of it; A3 flags points above _A3_SLACK x its fit
-_LAM, _A2_Z_DELTA, _A3_SLACK = 2.0, 4.0, 3.0
+# beyond _A2_Z_DELTA of it and A3 those up to _A3_RHO of it; A3 flags points
+# above _A3_SLACK x its fit
+_LAM, _A2_Z_DELTA, _A3_RHO, _A3_SLACK = 2.0, 4.0, 8.0, 3.0
 
 
 # --------------------------------------------------------------------------
@@ -65,7 +68,6 @@ _LAM, _A2_Z_DELTA, _A3_SLACK = 2.0, 4.0, 3.0
 class Profile:
     fn: Callable[[np.ndarray], np.ndarray]
     name: str
-    params: tuple = ()
 
     def __call__(self, u):
         return np.asarray(self.fn(np.asarray(u, dtype=float)), dtype=float)
@@ -73,19 +75,17 @@ class Profile:
 
 def constant_profile(value) -> Profile:
     v = float(value)
-    return Profile(lambda u: np.full_like(u, v), "constant", (("value", v),))
+    return Profile(lambda u: np.full_like(u, v), "constant")
 
 
 def linear_profile(start, end) -> Profile:
     a, b = float(start), float(end)
-    return Profile(lambda u: a + (b - a) * u, "linear",
-                   (("start", a), ("end", b)))
+    return Profile(lambda u: a + (b - a) * u, "linear")
 
 
 def periodic_profile(mean, amplitude, cycles=1.0) -> Profile:
     m, a, c = float(mean), float(amplitude), float(cycles)
-    return Profile(lambda u: m + a * np.sin(2.0 * np.pi * c * u), "periodic",
-                   (("mean", m), ("amplitude", a), ("cycles", c)))
+    return Profile(lambda u: m + a * np.sin(2.0 * np.pi * c * u), "periodic")
 
 
 _PROFILE_KINDS = {
@@ -230,10 +230,6 @@ class MediumRealization:
     def z_mid(self) -> np.ndarray:
         return 0.5 * (self.z_grid[:-1] + self.z_grid[1:])
 
-    @property
-    def depth(self) -> float:
-        return float(self.z_grid[-1])
-
 
 def build_medium(spec: MediumSpec) -> MediumRealization:
     """Sample one realization of the medium described by ``spec``.
@@ -302,14 +298,15 @@ class VTriple:
 def v_triple(real: MediumRealization, omega) -> VTriple:
     """Midpoint (frozen-phase) cumulative quadrature of the three integrals.
 
-    The phase increment per slab must satisfy omega * dz / eps^tau <= pi/8;
-    beyond that the oscillation is under-resolved and a finer grid is needed.
+    The phase increment per slab, omega * dz / eps^tau, must not exceed
+    MAX_PHASE_STEP (pi/8); beyond that the oscillation is under-resolved and
+    a finer grid is needed.
     """
     omega = float(omega)
     dz = real.dz
     eps_tau = real.epsilon ** real.tau
     phase_step = abs(omega) * dz / eps_tau
-    if phase_step > np.pi / 8.0 + 1e-12:
+    if phase_step > MAX_PHASE_STEP + 1e-12:
         raise PhaseResolutionError(
             f"omega * dz / eps^tau = {phase_step:.3f} exceeds pi/8; "
             "use a finer slab grid for this frequency")
@@ -416,9 +413,9 @@ def check_a2(spec: MediumSpec, *, delta=0.3) -> A2Report:
     return A2Report("pass" if max_rel <= delta else "fail", max_rel, rows)
 
 
-def check_a3(spec: MediumSpec, *, rho=8.0) -> A3Report:
+def check_a3(spec: MediumSpec) -> A3Report:
     """Fit |cov| <= C * |z1 - z2|^(-gamma) to the model slab covariance at
-    micro-scale lags (|z1 - z2| <= eps^_LAM * rho), on pairs centred on
+    micro-scale lags (|z1 - z2| <= eps^_LAM * _A3_RHO), on pairs centred on
     mid-depth, and flag non-integrable short-lag growth.
 
     A fitted exponent >= 1 fails, and so does a point above _A3_SLACK times
@@ -426,9 +423,10 @@ def check_a3(spec: MediumSpec, *, rho=8.0) -> A3Report:
     valid specs fail from gamma*K = 0.895 on (K = 1; gamma_rho 1.002 there).
     """
     n, dz = _checked_grid(spec)
-    max_lag = min(int(math.floor(spec.epsilon ** _LAM * rho / dz)), n - 1)
+    max_lag = min(int(math.floor(spec.epsilon ** _LAM * _A3_RHO / dz)),
+                  n - 1)
     if max_lag < 2:
-        raise DomainError(f"fewer than two A3 lags on {n} slabs, rho {rho}")
+        raise DomainError(f"fewer than two A3 lags on {n} slabs")
     lags = np.arange(1, max_lag + 1)
     i = (n - lags) // 2                      # pairs centred on mid-depth
     exact = np.abs(slab_covariance(spec, i, i + lags))

@@ -44,12 +44,8 @@ class SourcePulse:
         return float(self.s_grid[1] - self.s_grid[0])
 
     @property
-    def n(self) -> int:
-        return self.s_grid.size
-
-    @property
     def window(self) -> float:
-        return float(self.n * self.ds)
+        return float(self.s_grid.size * self.ds)
 
 
 @dataclass(frozen=True)
@@ -162,31 +158,24 @@ def reflected_pulse(tspec: TransmissionSpectrum, f: SourcePulse) -> PulseTrace:
     return _synthesize(tspec, f, tspec.R)
 
 
-def _spectral_shift(f: SourcePulse, shift) -> np.ndarray:
-    return _inverse(f.s_grid, f.fhat * np.exp(1j * f.grid.omegas * shift),
-                    f.grid.omegas).real
-
-
 def theory_longrange(f: SourcePulse, v_of_z: float) -> PulseTrace:
-    """Limiting long-range pulse: the source shifted by v(Z)/2, shape intact.
-
-    Band-limited (spectral) interpolation; the shift must stay well inside
-    the window (a quarter length) to avoid wrap-around.
-    """
-    b = 0.5 * float(v_of_z)
-    if abs(b) > 0.25 * f.window:
-        raise WindowError(
-            f"time shift {b:.3f} leaves the window (quarter length "
-            f"{0.25 * f.window:.3f})")
-    return PulseTrace(s_grid=f.s_grid, values=_spectral_shift(f, b))
+    """Limiting long-range pulse: the source shifted by v(Z)/2, shape intact
+    (:func:`theory_shortrange` with no spreading)."""
+    return theory_shortrange(f, 0.0, 0.0, 0.5 * float(v_of_z))
 
 
 def theory_shortrange(f: SourcePulse, sigma, depth, b_shift=0.0) -> PulseTrace:
     """Limiting mixing-case pulse: source convolved with a centered Gaussian
-    density of variance sigma^2 * depth / 2, then shifted by ``b_shift``."""
+    density of variance sigma^2 * depth / 2, then shifted by ``b_shift``.
+
+    Band-limited (spectral) interpolation; the shift must stay well inside
+    the window (a quarter length) to avoid wrap-around.
+    """
     b = float(b_shift)
     if abs(b) > 0.25 * f.window:
-        raise WindowError("time shift leaves the window")
+        raise WindowError(
+            f"time shift {b:.3f} leaves the window (quarter length "
+            f"{0.25 * f.window:.3f})")
     kernel = np.exp(-0.25 * sigma ** 2 * depth * f.grid.omegas ** 2
                     + 1j * f.grid.omegas * b)
     values = _inverse(f.s_grid, f.fhat * kernel, f.grid.omegas).real

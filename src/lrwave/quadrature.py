@@ -12,7 +12,11 @@ from functools import lru_cache
 import numpy as np
 
 
-@lru_cache(maxsize=None)
+# geometric_edges: adjacent panel-length ratio, most panels per interval
+_RATIO, _MAX_PANELS = 2.0, 64
+
+
+@lru_cache(maxsize=8)
 def _gl_nodes(npts: int):
     x, w = np.polynomial.legendre.leggauss(npts)
     return x, w
@@ -35,14 +39,14 @@ def panel_nodes(edges, npts=16):
     return nodes, weights
 
 
-def panel_count(min_frac, *, ratio=2.0, max_panels=64):
+def panel_count(min_frac):
     """Number of panels :func:`geometric_edges` lays on an interval graded
     down to ``min_frac`` of its length; accepts arrays."""
-    n = np.ceil(np.log(1.0 / np.asarray(min_frac, dtype=float)) / np.log(ratio))
-    return np.clip(n, 2, max_panels).astype(int)
+    n = np.ceil(np.log(1.0 / np.asarray(min_frac, dtype=float)) / np.log(_RATIO))
+    return np.clip(n, 2, _MAX_PANELS).astype(int)
 
 
-def geometric_edges(a, b, *, toward="left", ratio=2.0, min_frac=1e-13, max_panels=64):
+def geometric_edges(a, b, *, toward="left", min_frac=1e-13):
     """Panel edges on [a, b], graded geometrically toward one or both ends.
 
     The panel adjacent to the graded end has length ~ ``min_frac * (b - a)``
@@ -60,16 +64,14 @@ def geometric_edges(a, b, *, toward="left", ratio=2.0, min_frac=1e-13, max_panel
         raise ValueError("empty interval")
     if toward == "both":
         mid = 0.5 * (a + b)
-        left = geometric_edges(a, mid, toward="left", ratio=ratio,
-                               min_frac=min_frac, max_panels=max_panels)
-        right = geometric_edges(mid, b, toward="right", ratio=ratio,
-                                min_frac=min_frac, max_panels=max_panels)
+        left = geometric_edges(a, mid, toward="left", min_frac=min_frac)
+        right = geometric_edges(mid, b, toward="right", min_frac=min_frac)
         return np.concatenate([left[..., :-1], right], axis=-1)
-    counts = np.unique(panel_count(min_frac, ratio=ratio, max_panels=max_panels))
+    counts = np.unique(panel_count(min_frac))
     if counts.size != 1:
         raise ValueError("segments need different panel counts; batch them "
                          "by panel_count")
-    t = ratio ** np.arange(int(counts[0]) + 1, dtype=float)
+    t = _RATIO ** np.arange(int(counts[0]) + 1, dtype=float)
     t = (t - 1.0) / (t[-1] - 1.0)
     a = a[..., None]
     b = b[..., None]

@@ -65,10 +65,20 @@ def _aggregated_variance(values, min_scale_exp=1, trim=4):
     return scales, msq, 0.5 * slope
 
 
-def _block_bootstrap_ci(values, scales, n_boot, n_blocks=64):
-    """Bootstrap the scale regression by resampling coarse time blocks
-    (the same blocks at every scale, preserving cross-scale coupling)."""
-    rng = np.random.default_rng(_BOOT_SEED)
+def _bootstrap_ci(value, m, statistic, *, n_boot, seed, level):
+    """Percentile interval of ``statistic`` over ``n_boot`` resamples of m
+    records, widened to contain ``value``.  ``statistic`` takes one row of
+    record indices drawn with replacement."""
+    idx = np.random.default_rng(seed).integers(0, m, size=(int(n_boot), m))
+    boots = np.array([statistic(row) for row in idx])
+    lo, hi = np.quantile(boots, [(1 - level) / 2, 1 - (1 - level) / 2])
+    return min(float(lo), value), max(float(hi), value)
+
+
+def _block_means(values, scales, n_blocks=64):
+    """Mean-square increments per scale (row) and coarse time block
+    (column): the same blocks at every scale, so that resampling blocks
+    keeps the cross-scale coupling."""
     n = values.size
     edges = np.linspace(0, n - int(scales[-1]), n_blocks + 1).astype(int)
     block_means = np.empty((scales.size, n_blocks))
@@ -77,18 +87,7 @@ def _block_bootstrap_ci(values, scales, n_boot, n_blocks=64):
         for b in range(n_blocks):
             seg = sq[edges[b]:max(edges[b + 1], edges[b] + 1)]
             block_means[i, b] = seg.mean() if seg.size else sq.mean()
-    log_s = np.log(scales)
-    denom = np.sum((log_s - log_s.mean()) ** 2)
-    hs = np.empty(n_boot)
-    draws = rng.integers(0, n_blocks, size=(n_boot, n_blocks))
-    for b in range(n_boot):
-        msq = block_means[:, draws[b]].mean(axis=1)
-        msq = np.maximum(msq, 1e-300)
-        lm = np.log(msq)
-        slope = np.sum((log_s - log_s.mean()) * (lm - lm.mean())) / denom
-        hs[b] = 0.5 * slope
-    lo, hi = np.quantile(hs, [(1 - _CI_LEVEL) / 2, 1 - (1 - _CI_LEVEL) / 2])
-    return float(lo), float(hi)
+    return block_means
 
 
 def _hurst_core(values, *, n_boot, min_len, trim=4):
@@ -96,14 +95,20 @@ def _hurst_core(values, *, n_boot, min_len, trim=4):
         raise DomainError(f"need at least {min_len} samples")
     scales, msq, h_raw = _aggregated_variance(values, trim=trim)
     boundary = not (0.02 < h_raw < 0.98)
-    h = float(np.clip(h_raw, 0.0, 1.0))
+    h = lo = hi = float(np.clip(h_raw, 0.0, 1.0))
     if n_boot and not boundary:
-        lo, hi = _block_bootstrap_ci(values, scales, n_boot)
-        lo, hi = min(lo, h), max(hi, h)
-    else:
-        lo = hi = h
-    return EstimateWithCI(value=h, ci_low=float(lo), ci_high=float(hi),
-                          boundary=boundary)
+        # the scale regression on resampled time blocks
+        means = _block_means(values, scales)
+        log_s = np.log(scales)
+        dev = log_s - log_s.mean()
+
+        def half_slope(blocks):
+            lm = np.log(np.maximum(means[:, blocks].mean(axis=1), 1e-300))
+            return 0.5 * (np.sum(dev * (lm - lm.mean())) / np.sum(dev ** 2))
+
+        lo, hi = _bootstrap_ci(h, means.shape[1], half_slope, n_boot=n_boot,
+                               seed=_BOOT_SEED, level=_CI_LEVEL)
+    return EstimateWithCI(value=h, ci_low=lo, ci_high=hi, boundary=boundary)
 
 
 def hurst_estimate(traj: Trajectory, *, n_boot=1000) -> EstimateWithCI:
@@ -189,9 +194,6 @@ def mc_aggregate(records, statistic="mean", *, level=0.95, n_boot=1000,
     if not callable(fn):
         raise ConfigurationError(f"unknown statistic {statistic!r}")
     value = float(fn(x))
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, x.size, size=(int(n_boot), x.size))
-    boots = np.array([fn(x[row]) for row in idx])
-    lo, hi = np.quantile(boots, [(1 - level) / 2, 1 - (1 - level) / 2])
-    lo, hi = min(float(lo), value), max(float(hi), value)
+    lo, hi = _bootstrap_ci(value, x.size, lambda row: fn(x[row]),
+                           n_boot=n_boot, seed=seed, level=level)
     return EstimateWithCI(value=value, ci_low=lo, ci_high=hi)

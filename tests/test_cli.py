@@ -134,13 +134,22 @@ class TestRun:
         assert [e["sha256"] for e in m1["artifacts"]] == \
             [e["sha256"] for e in m2["artifacts"]]
 
-    def test_sweep_records_and_cells(self, tmp_path):
+    def test_sweep_records_and_cells(self, tmp_path, capsys):
         assert run(tiny_sweep_config(tmp_path)) == 0
         cells = json.loads((tmp_path / "sweep.json").read_text())
         assert [c["epsilon"] for c in cells] == [0.2, 0.15]
-        for cell in cells:
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(cells)
+        for cell, line in zip(cells, lines):
             assert set(cell) == {"epsilon", "n_realizations", "median_l2",
                                  "median_width_ratio", "shift_vs_v1_corr"}
+            # one "[sweep] key value ..." line per cell, in sweep.json order
+            tokens = line.split()
+            assert tokens[0] == "[sweep]"
+            printed = dict(zip(tokens[1::2], map(float, tokens[2::2])))
+            assert set(printed) == set(cell) - {"n_realizations"}
+            for key, value in printed.items():
+                assert value == pytest.approx(cell[key], rel=1e-5)
         records = json.loads((tmp_path / "records.json").read_text())
         assert len(records) == 6
         assert all(r["conservation_defect"] < 1e-8 for r in records)
@@ -286,6 +295,27 @@ class TestRun:
         status = run({"mode": "limits", "output_dir": str(out),
                       "limits": limits})
         assert status == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, cfg", [
+        ("medium: epsilon", {"mode": "verify", "medium": {"epsilon": 1.5}}),
+        ("medium: epsilon", {"mode": "synth", "medium": {"epsilon": 1.5}}),
+        ("medium: violated constraint: gamma",
+         {"mode": "limits", "limits": {"kind": "fbm", "h": 0.7, "n": 64},
+          "medium": {"gamma": {"kind": "constant", "value": 1.5}}}),
+        ("source.kind",
+         {"mode": "limits", "limits": {"kind": "fbm", "h": 0.7, "n": 64},
+          "source": {"kind": "bogus", "width": -1}}),
+        ("source.kind", {"mode": "propagate", "source": {"kind": "bogus"}}),
+        ("sweep.epsilons[1]: epsilon",
+         {"mode": "sweep", "sweep": {"epsilons": [0.2, 1.5]}}),
+        ("sweep.epsilons", {"mode": "sweep", "sweep": {"epsilons": []}}),
+    ])
+    def test_every_section_checked_before_output(self, tmp_path, capsys, key,
+                                                 cfg):
+        out = tmp_path / "out"
+        assert run(dict(cfg, output_dir=str(out))) == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
 

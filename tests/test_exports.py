@@ -63,3 +63,25 @@ def test_perfbench_counters_read_results(monkeypatch):
                                          {"active": active})
         assert counts["frequencies"] == freqs
         assert counts["steps"] >= real.n_slabs
+
+
+def test_perfbench_direct_calls(tmp_path):
+    """The calls the benchmark's workloads make outside the CLI, with their
+    argument shapes, on tiny inputs: a trimmed parameter fails here rather
+    than in a benchmark run."""
+    from lrwave.limits import sh_covariance, simulate_hermite, simulate_sh
+    from lrwave.medium import profile_from_config
+    from lrwave.serialize import read_csv, write_trajectory
+    from lrwave.stats import local_hurst
+
+    prof = profile_from_config({"kind": "linear", "start": 0.55, "end": 0.85})
+    tr = simulate_sh(prof, 512, seed=(1, 2, 0, 3))
+    assert tr.values.size == 513
+    assert np.isfinite(simulate_hermite(0.7, 2, 64, seed=(1, 2, 99, 0))
+                       .values[-1])
+    est = local_hurst(tr, 0.5, window=256, n_boot=0)
+    assert est.ci_low == est.value == est.ci_high
+    assert sh_covariance(0.7, 0.25, 0.75) == pytest.approx(
+        0.5 * (0.25 ** 1.4 + 0.75 ** 1.4 - 0.5 ** 1.4), abs=1e-4)
+    header, data = read_csv(write_trajectory(tmp_path / "t.csv", tr))
+    assert header == ["t", "value"] and data.shape == (513, 2)

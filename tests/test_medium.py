@@ -10,7 +10,7 @@ from lrwave import (ConfigurationError, DomainError, MediumSpec,
                     constant_profile, fgn_covariance, linear_profile,
                     periodic_profile, profile_from_config, truncation,
                     v_triple, white_medium)
-from lrwave.medium import MAX_SLABS, slab_covariance
+from lrwave.medium import MAX_PHASE_STEP, MAX_SLABS, slab_covariance
 
 
 def lr_spec(eps=0.1, gamma=0.8, seed=0, **kw):
@@ -134,14 +134,18 @@ class TestVTriple:
         const = replace(r, nu_eps=np.full(r.n_slabs, 2.0))
         vt = v_triple(const, 0.0)
         assert vt.v1.values[0] == 0.0
-        assert vt.v1.values[-1] == pytest.approx(2.0 * r.depth, rel=1e-12)
+        assert vt.v1.values[-1] == pytest.approx(2.0 * r.z_grid[-1],
+                                                 rel=1e-12)
         assert np.allclose(vt.v2.values, vt.v1.values)
         assert np.all(vt.v3.values == 0.0)
 
     def test_phase_guard(self):
         r = build_medium(lr_spec(seed=1))
-        with pytest.raises(PhaseResolutionError):
-            v_triple(r, 50.0)
+        limit = MAX_PHASE_STEP * r.epsilon ** r.tau / r.dz
+        v_triple(r, limit)
+        for omega in (1.01 * limit, 50.0):
+            with pytest.raises(PhaseResolutionError):
+                v_triple(r, omega)
 
     def test_oscillatory_parts_vanish(self):
         """Var v2(Z), Var v3(Z) decrease as eps does (fixed frequency)."""
@@ -214,7 +218,7 @@ class TestAssumptionChecks:
         with pytest.raises(DomainError, match="no A2 lag"):
             check_a2(lr_spec(eps=0.2))
         with pytest.raises(DomainError, match="fewer than two A3 lags"):
-            check_a3(lr_spec(), rho=1.5)
+            check_a3(lr_spec(eps=0.8))
 
 
 class TestLimitMatching:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lrwave import (ConfigurationError, FrequencyGrid, MediumSpec, StateError,
                     build_medium, constant_profile, propagate, spectrum,
                     transmission, v_triple)
+from lrwave.medium import MAX_PHASE_STEP
 from lrwave.propagator import (_BLOCK, PropagatorState, _slab_product,
                                _substeps)
 
@@ -192,6 +193,10 @@ class TestSlabProduct:
             np.array([w]), real.nu_eps, real.z_grid[:-1], real.dz, eps_tau,
             _substeps(w, real.dz, eps_tau)))
         assert abs(t - t_ref[0]) < 1e-10 and abs(r - r_ref[0]) < 1e-10
+
+    def test_substeps_keep_phase_step_at_most_max(self):
+        assert _substeps(0.99 * MAX_PHASE_STEP, 1.0, 1.0) == 1
+        assert _substeps(1.01 * MAX_PHASE_STEP, 1.0, 1.0) == 2
 
     def test_entry_alone_equals_entry_in_bin(self, medium):
         # a frequency's bits do not depend on which others share its bin

@@ -25,7 +25,7 @@ def transparent(source):
 
 class TestSources:
     def test_gaussian_window_geometry(self, source):
-        assert source.n == 4096
+        assert source.s_grid.size == 4096
         assert source.window == pytest.approx(16.0)
         assert np.max(source.values) == pytest.approx(1.0)
 
