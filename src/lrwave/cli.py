@@ -73,8 +73,8 @@ def _realization(cfg, epsilon, index, source):
 
 
 def _propagate_one(args):
-    cfg, epsilon, index = args
-    return _realization(cfg, epsilon, index, cfg.source.build())[2]
+    cfg, epsilon, index, source = args
+    return _realization(cfg, epsilon, index, source)[2]
 
 
 def _map_indexed(fn, items, jobs):
@@ -118,10 +118,12 @@ def _run_propagate(cfg: ExperimentConfig, out, artifacts):
 
 
 def _run_sweep(cfg: ExperimentConfig, out, artifacts):
+    source = cfg.source.build()
     cells = []
     all_records = []
     for eps in cfg.sweep.epsilons:
-        items = [(cfg, eps, i) for i in range(cfg.ensemble.n_realizations)]
+        items = [(cfg, eps, i, source)
+                 for i in range(cfg.ensemble.n_realizations)]
         records = _map_indexed(_propagate_one, items, cfg.jobs)
         all_records.extend(records)
         l2 = np.array([r["l2"] for r in records])
@@ -199,15 +201,12 @@ def run(config, *, overrides=None) -> int:
     t0 = time.time()
     try:
         if isinstance(config, ExperimentConfig):
-            cfg = config
+            cfg = (ExperimentConfig.from_dict(config.resolved(), overrides)
+                   if overrides else config)
         elif isinstance(config, dict):
-            cfg = ExperimentConfig.from_dict(config)
+            cfg = ExperimentConfig.from_dict(config, overrides)
         else:
-            cfg = ExperimentConfig.from_file(config)
-        if overrides:
-            data = cfg.resolved()
-            data.update(overrides)
-            cfg = ExperimentConfig.from_dict(data)
+            cfg = ExperimentConfig.from_file(config, overrides)
 
         out = Path(cfg.output_dir)
         artifacts = []

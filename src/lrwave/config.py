@@ -250,14 +250,18 @@ class ExperimentConfig:
                     f"tolerances.{key} must be positive, got {value!r}")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
+    def from_dict(cls, d: dict, overrides=None) -> "ExperimentConfig":
+        """Parse the config ``d``, or the config of the run manifest ``d``,
+        with the top-level keys of ``overrides`` replacing its own."""
         if "config" in d and "artifacts" in d:
             # a run manifest doubles as a config for byte-exact replay
             d = d["config"]
+        if overrides and isinstance(d, dict):
+            d = {**d, **overrides}
         return _parse(cls, d, "")
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    def from_file(cls, path, overrides=None) -> "ExperimentConfig":
         try:
             with Path(path).open("r", encoding="utf-8") as f:
                 data = json.load(f)
@@ -265,7 +269,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"config {path} is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise ConfigurationError("config root must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(data, overrides)
 
     def resolved(self) -> dict:
         """All defaults materialized, JSON-able."""

@@ -34,7 +34,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gamma as _gamma_fn
 
 from .errors import ConfigurationError, DomainError, QuadratureError, SynthesisError
@@ -68,6 +67,8 @@ _VAR_TOL = 0.02
 _RENORM_EPSABS, _COV_EPSABS, _COV_X_BREAK = 1e-11, 1e-10, 1.0
 # largest share of the circulant eigenvalue mass that may be clipped
 _CLIP_TOL = 1e-3
+# frequencies per batched eigh call of the circulant factor
+_EIGH_BLOCK = 1024
 
 
 # --------------------------------------------------------------------------
@@ -219,6 +220,8 @@ def renorm_constant_sq_quadrature(h) -> float:
     integrated directly; on [1, inf) the constant part is analytic and the
     cosine part uses a Fourier-weighted quadrature.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     h = validate_hurst(h)
     a = 2.0 * h + 1.0
     # near 0 the integrand behaves like x^(1-2H); substituting x = t^beta with
@@ -327,8 +330,16 @@ def _embedding_spectrum(levels, n):
 def _embedding_factor(levels, n):
     """F with 2n F F^T the embedding spectrum at each frequency, its
     negative eigenvalues clipped; SynthesisError when more than _CLIP_TOL of
-    the eigenvalue mass is clipped."""
-    w, v = np.linalg.eigh(_embedding_spectrum(levels, n))
+    the eigenvalue mass is clipped.
+
+    The eigenvectors overwrite the spectrum block by block, so the build
+    holds one (n+1, L, L) array, not two: valid because
+    _embedding_spectrum returns a fresh array that nothing else holds."""
+    v = _embedding_spectrum(levels, n)
+    w = np.empty(v.shape[:2])
+    for lo in range(0, v.shape[0], _EIGH_BLOCK):
+        hi = lo + _EIGH_BLOCK
+        w[lo:hi], v[lo:hi] = np.linalg.eigh(v[lo:hi])
     share = -float(w[w < 0.0].sum()) / float(np.abs(w).sum())
     if share > _CLIP_TOL:
         raise SynthesisError(f"circulant embedding negative beyond tolerance: "
@@ -566,6 +577,8 @@ class FieldCovariance:
 
 def _cos_tail(w, q, b, epsabs):
     """int_b^inf cos(w x) x^q dx for q < -1."""
+    from scipy.integrate import IntegrationWarning, quad
+
     if w == 0.0:
         return -(b ** (q + 1.0)) / (q + 1.0), 0.0
     with warnings.catch_warnings():
@@ -578,6 +591,8 @@ def _cos_tail(w, q, b, epsabs):
 def _quadrature_head(d, s, b, epsabs):
     """int_0^b 2 cos(d x) |psi(x)|^2 x^(1-s) dx with the power-law endpoint
     removed by the substitution x = t^(1/(2-s))."""
+    from scipy.integrate import quad
+
     beta = 1.0 / (2.0 - s)
 
     def integrand(t):

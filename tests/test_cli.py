@@ -346,6 +346,31 @@ class TestMain:
         assert manifest["config"]["seed"] == 9
         assert manifest["config"]["mode"] == "limits"
 
+    def test_config_parsed_once(self, tmp_path, monkeypatch):
+        """A CLI run parses its config once, overrides included, also when
+        it replays a run manifest."""
+        calls = []
+        parse = ExperimentConfig.from_dict.__func__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return parse(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ExperimentConfig, "from_dict", classmethod(counted))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "limits", "seed": 3, "limits":
+                                    {"kind": "fbm", "h": 0.7, "n": 64}}))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["--config", str(path), "--out", str(first)]) == 0
+        assert len(calls) == 1
+        assert main(["--config", str(first / "run_manifest.json"),
+                     "--out", str(second)]) == 0
+        assert len(calls) == 2
+        m1, m2 = (json.loads((d / "run_manifest.json").read_text())
+                  for d in (first, second))
+        assert m2["config"] == {**m1["config"], "output_dir": str(second)}
+        assert m2["artifacts"] == m1["artifacts"]
+
     def test_jobs_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LRWAVE_JOBS", "3")
         status = main(["--mode", "verify", "--out", str(tmp_path)])

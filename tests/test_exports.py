@@ -1,6 +1,9 @@
 """Every exported name resolves, so a removal cannot leave a stale export."""
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,21 @@ def test_package_names_are_declared():
         if declared is not None and name not in declared:
             undeclared.append(name)
     assert not undeclared
+
+
+def test_quadrature_import_is_deferred():
+    """Importing the package and its CLI leaves scipy.integrate out; the
+    quadrature cross-check imports it when called."""
+    code = ("import sys, lrwave, lrwave.cli\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+            "from lrwave import renorm_constant_sq_quadrature\n"
+            "print(renorm_constant_sq_quadrature(0.7))\n")
+    src = str(Path(lrwave.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) == pytest.approx(
+        float(lrwave.renorm_constant_sq(0.7)), rel=1e-9)
 
 
 def _tracer(monkeypatch):

@@ -159,6 +159,18 @@ class TestCoupledFgn:
         with pytest.raises(SynthesisError, match="negative"):
             gf.synthesize_coupled_fgn(0.02 * np.arange(27, 44), 256, seed=0)
 
+    def test_blocked_factor_equals_one_shot(self):
+        """The factor built in blocks of frequencies is bitwise the one-shot
+        eigh of the spectrum, at an n + 1 that is no multiple of the block."""
+        levels, n = tuple(0.02 * np.arange(27, 44)), 2500
+        assert (n + 1) % gf._EIGH_BLOCK
+        gf._embedding_factor.cache_clear()
+        f = gf._embedding_factor(levels, n)
+        w, v = np.linalg.eigh(gf._embedding_spectrum(levels, n))
+        v *= np.sqrt(np.clip(w, 0.0, None) / (2 * n))[:, None, :]
+        assert np.array_equal(f, v)
+        assert not f.flags.writeable
+
     def test_shape_and_one_level_is_fgn(self):
         y = gf.synthesize_coupled_fgn([0.6, 0.8], 300, seed=4)
         assert y.shape == (300, 2)
