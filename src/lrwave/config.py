@@ -111,7 +111,6 @@ class MediumBlock:
     h: dict | None = None
     truncation: dict = field(default_factory=lambda: {"name": "identity"})
     n_slabs: int | None = None
-    level_spacing: float = 0.01
 
     def __post_init__(self):
         _check_entry(_truncation_from_config, self.truncation, "name",
@@ -133,7 +132,7 @@ class MediumBlock:
             epsilon=float(self.epsilon if epsilon is None else epsilon),
             tau=self.tau, depth=self.depth, gamma_profile=gamma_prof,
             h_profile=h_prof, truncation=trunc, n_slabs=self.n_slabs,
-            seed=seed, level_spacing=self.level_spacing)
+            seed=seed)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ noise whose index follows a profile h on [0, 1].
   fGn, the discrete non-central-limit construction), fractional Brownian
   motion at K = 1;
 * a varying index: the multifractional process (partial sums of coupled
-  fractional white noises weighted N^(-h(j/N)), blended from an index
-  ladder sampled jointly by circulant embedding) and, for K >= 2, its
-  rank-K generalization.
+  fractional white noises weighted N^(-h(j/N)), interpolated in the index
+  from a nine-level Chebyshev ladder sampled jointly by circulant
+  embedding) and, for K >= 2, its rank-K generalization.
 
 A constant index (any K) and a varying one at K >= 2 have unit variance at
 t = 1 exactly: the path is divided by the sd of sum_j w_j P_K(Y_j),
@@ -30,10 +30,11 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .gaussian_field import (Trajectory, _asymptotic_scale, _blend_levels,
-                             _increment_covariance, fgn_covariance,
-                             increment_field_covariance, renorm_constant,
-                             synthesize_coupled_fgn, validate_hurst)
+from .gaussian_field import (Trajectory, _asymptotic_scale,
+                             _increment_covariance, _index_ladder,
+                             _lagrange_weights, fgn_covariance,
+                             renorm_constant, synthesize_coupled_fgn,
+                             validate_hurst)
 # unused here; kept as a module attribute that perfbench/tracer.py patches
 from .gaussian_field import synthesize_fgn  # noqa: F401
 from .hermite import hermite_poly
@@ -49,8 +50,8 @@ __all__ = [
 
 # entries per row block of the rank-K normalization sum
 _PAIR_BLOCK = 1 << 15
-# index-ladder spacing of the coupled noise along a varying profile; the
-# levels sit on multiples of it, so profiles with one range share a factor
+# the index ladder of a varying profile spans its range widened outward to
+# multiples of this, so profiles with one range share a factor
 _SH_LEVEL_SPACING = 0.02
 # covariance oracle: half-width of the analytic diagonal band relative to
 # max(z1, z2), and the Gauss-Legendre order of the outer panels
@@ -118,20 +119,19 @@ def _weighted_hermite_sum_std(h_field, weights, k):
 
 def sample_field_diagonal(h_field, n, seed):
     """Coupled noise m(j, h_field[j - 1]), j = 1..n: for a constant (scalar)
-    index the one fGn column, else blended from the levels on multiples of
-    _SH_LEVEL_SPACING that bracket h_field (a level at 1 becomes max
-    h_field)."""
+    index the one fGn column, else interpolated in the index from the
+    Chebyshev ladder of the range of h_field widened outward to multiples of
+    _SH_LEVEL_SPACING (a top at 1 or above becomes max h_field).  Returns
+    the values and {"levels": ladder}."""
     if np.ndim(h_field) == 0:
         return (synthesize_coupled_fgn((h_field,), n, seed)[:, 0],
                 {"levels": np.array([h_field])})
-    lo, hi = float(h_field.min()), float(h_field.max())
-    k = np.arange(math.floor(lo / _SH_LEVEL_SPACING),
-                  math.ceil(hi / _SH_LEVEL_SPACING) + 1)
-    levels = _SH_LEVEL_SPACING * k
-    levels[levels >= 1.0] = hi
+    hi = float(h_field.max())
+    lo = _SH_LEVEL_SPACING * math.floor(h_field.min() / _SH_LEVEL_SPACING)
+    top = _SH_LEVEL_SPACING * math.ceil(hi / _SH_LEVEL_SPACING)
+    levels = _index_ladder(lo, top if top < 1.0 else hi)
     y = synthesize_coupled_fgn(levels, n, seed)
-    cross = increment_field_covariance(0.0, 0.0, levels[:-1], levels[1:])
-    values = _blend_levels(h_field, levels, y, np.ones(levels.size), cross)
+    values = np.sum(_lagrange_weights(h_field, levels) * y, axis=1)
     return values, {"levels": levels}
 
 

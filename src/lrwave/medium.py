@@ -129,15 +129,11 @@ class MediumSpec:
     hermite: HermiteSpec | None = field(init=False, default=None)
     n_slabs: int | None = None
     seed: int | tuple = 0
-    level_spacing: float = 0.01
 
     def __post_init__(self):
         if self.tau <= 0 or self.depth <= 0:
             raise ConfigurationError("tau and depth must be positive")
         self.resolved_slabs()       # epsilon, slab budget and micro scale
-        if not (math.isfinite(self.level_spacing) and self.level_spacing > 0):
-            raise ConfigurationError("level_spacing must be finite and "
-                                     f"positive, got {self.level_spacing!r}")
         if (self.gamma_profile is None) == (self.h_profile is None):
             raise ConfigurationError(
                 "give exactly one of gamma_profile and h_profile")
@@ -249,8 +245,7 @@ def build_medium(spec: MediumSpec) -> MediumRealization:
         micro = np.zeros(n)
     else:
         zeta = z_mid / eps ** 2
-        m, _ = sample_field_diagonal(spec.field_index(u), zeta, seed=spec.seed,
-                                     level_spacing=spec.level_spacing)
+        m, _ = sample_field_diagonal(spec.field_index(u), zeta, seed=spec.seed)
         micro = spec.truncation(m)
     amplitude = eps ** (2.0 * spec.h(u) - 2.0)
     nu_eps = amplitude * micro

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrwave import (ConfigurationError, DomainError, SynthesisError,
-                    Trajectory, asymptotic_covariance_scale,
+from lrwave import (ConfigurationError, DomainError, MediumSpec,
+                    SynthesisError, Trajectory, asymptotic_covariance_scale,
                     fgn_covariance, field_covariance,
-                    increment_field_covariance,
+                    increment_field_covariance, linear_profile,
                     renorm_constant, renorm_constant_sq,
                     renorm_constant_sq_quadrature, sample_field_diagonal,
-                    synthesize_fgn, synthesize_field_grid)
+                    synthesize_fgn, synthesize_field_grid, truncation)
 from lrwave import gaussian_field as gf
 
 hurst = st.floats(min_value=0.02, max_value=0.98)
@@ -65,6 +65,28 @@ class TestFgnCovariance:
         # second difference at large lags (relative error ~ eps * k^2)
         assert increment_field_covariance(float(k), 0.0, h, h) == pytest.approx(
             fgn_covariance(h, k), rel=1e-6, abs=4e-16 * k ** 2)
+
+    @pytest.mark.parametrize("h1, h2", [(0.6, 0.6), (0.9, 0.9), (0.6, 0.9)])
+    def test_large_lags_match_long_double_series(self, h1, h2):
+        """(d+1)^s + (d-1)^s - 2 d^s = d^s sum_k 2 C(s, 2k) d^(-2k), summed
+        in long double over the lags 2..2^16, where the three terms
+        cancel."""
+        s = np.longdouble(h1) + np.longdouble(h2)
+        d = np.arange(2, (1 << 16) + 1).astype(np.longdouble)
+        series, binom = np.zeros_like(d), np.longdouble(1.0)
+        for m in range(1, 81):
+            binom *= (s - m + 1) / m                    # C(s, m)
+            if m % 2 == 0:
+                series += 2 * binom * d ** -m
+        kernel = (d ** s * series).astype(float)
+        lags = d.astype(float)
+        if h1 == h2:
+            got, ref = fgn_covariance(h1, lags), 0.5 * kernel
+        else:
+            got = increment_field_covariance(lags, 0.0, h1, h2)
+            ref = (0.5 * renorm_constant_sq(0.5 * (h1 + h2)) * kernel
+                   / (renorm_constant(h1) * renorm_constant(h2)))
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-9
 
 
 class TestSynthesizeFgn:
@@ -325,6 +347,22 @@ class TestFieldDiagonal:
     def test_shape_mismatch(self):
         with pytest.raises(ConfigurationError):
             sample_field_diagonal(np.full(4, 0.7), np.arange(8.0))
+
+    def test_ladder_matches_exact_columns(self):
+        """On the field of the medium h 0.6 -> 0.85, square_center, at
+        eps = 0.05 (field index 0.8 -> 0.925), the ladder's value at row j
+        is the column m(z_j, h_j) of the same noise draw."""
+        spec = MediumSpec(epsilon=0.05, h_profile=linear_profile(0.6, 0.85),
+                          truncation=truncation("square_center"))
+        n = spec.resolved_slabs()
+        u = (np.arange(n) + 0.5) / n
+        z, h = u * spec.depth / spec.epsilon ** 2, spec.field_index(u)
+        vals, info = sample_field_diagonal(h, z, seed=(16, 1))
+        rows = np.r_[0:n:20, n - 1]
+        exact = synthesize_field_grid(h[rows], z, seed=(16, 1)).samples
+        assert np.max(np.abs(vals[rows] - exact[rows, np.arange(rows.size)])
+                      ) <= 1e-5
+        assert info["levels"].size == 9
 
     def test_origin_shift_cache_matches_fresh_context(self):
         # one context serves grids of the same spacing and span; its cached

@@ -204,12 +204,12 @@ class TestNearOneProfiles:
         assert tr.values[0] == 0.0 and np.all(np.isfinite(tr.values))
 
     def test_ladder_on_lattice_below_one(self):
+        # the range widens to [0.54, 1.0]; its top at 1 becomes max h = 0.99
         h = 0.55 + 0.44 * np.arange(1, 257) / 256
         _, info = lm.sample_field_diagonal(h, 256, seed=0)
         levels = info["levels"]
-        assert levels[0] <= h.min() and levels[-1] == h.max() < 1.0
-        assert np.allclose(levels[:-1] / lm._SH_LEVEL_SPACING,
-                           np.arange(27, 27 + levels.size - 1))
+        assert levels.size == 9 and np.all(np.diff(levels) > 0)
+        assert 0.54 < levels[0] and levels[-1] < h.max() < 1.0
 
     def test_profiles_with_one_range_share_levels(self):
         a, b = _figure_profiles()
@@ -217,6 +217,41 @@ class TestNearOneProfiles:
         _, la = lm.sample_field_diagonal(a(u), 1024, seed=0)
         _, lb = lm.sample_field_diagonal(b(u), 1024, seed=0)
         assert np.array_equal(la["levels"], lb["levels"])
+
+
+class TestIndexLadder:
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_endpoint_variance_matches_exact_sum(self, j):
+        """Var of sum_j n^(-h_j) X_j for the interpolated noise X, as one
+        Toeplitz quadratic form per level pair by FFT, against the exact
+        O(n^2) sum over the target covariance: no Monte Carlo."""
+        n = 1 << 12
+        h = np.asarray(_figure_profiles()[j](np.arange(1, n + 1) / n),
+                       dtype=float)
+        w = float(n) ** (-h)
+        levels = lm.sample_field_diagonal(h, n, seed=0)[1]["levels"]
+        u = w[:, None] * gf._lagrange_weights(h, levels)
+        fu = np.fft.rfft(u, 2 * n, axis=0)
+        lags = np.arange(n, dtype=float)
+        var = 0.0
+        for a, la in enumerate(levels):
+            for b, lb in enumerate(levels):
+                r = increment_field_covariance(lags, 0.0, la, lb)
+                circ = np.fft.rfft(np.concatenate([r, [0.0], r[:0:-1]]))
+                var += u[:, a] @ np.fft.irfft(circ * fu[:, b], 2 * n)[:n]
+        exact = lm._weighted_hermite_sum_std(h, w, 1) ** 2
+        assert abs(var / exact - 1.0) < 1e-4
+
+    def test_factor_cache_holds_workload_keys(self):
+        """The limits workload's factors (the ladder at n = 2^14 and 512,
+        one level at 2,048) are each built once over two rounds."""
+        prof = _figure_profiles()[0]
+        gf._embedding_factor.cache_clear()
+        for _ in range(2):
+            for n in (1 << 14, 512):
+                lm.sample_field_diagonal(prof(np.arange(1, n + 1) / n), n, 0)
+            lm.sample_field_diagonal(0.85, 2048, 0)
+        assert gf._embedding_factor.cache_info().misses == 3
 
 
 class TestRankKNormalization:

@@ -102,12 +102,6 @@ class TestMediumSpec:
         with pytest.raises(ConfigurationError, match="micro"):
             lr_spec(n_slabs=10).resolved_slabs()
 
-    @pytest.mark.parametrize("spacing", [0.0, float("nan"), -0.01])
-    def test_level_spacing_finite_positive(self, spacing):
-        with pytest.raises(ConfigurationError, match="level_spacing"):
-            MediumSpec(epsilon=0.1, h_profile=linear_profile(0.6, 0.8),
-                       level_spacing=spacing)
-
 
 class TestBuildMedium:
     def test_gaussian_reduction_covariance(self, gaussian_lr_ensemble):
