@@ -12,7 +12,8 @@ from functools import lru_cache
 import numpy as np
 
 
-# geometric_edges: adjacent panel-length ratio, most panels per interval
+# geometric_edges: default adjacent panel-length ratio, most panels per
+# interval
 _RATIO, _MAX_PANELS = 2.0, 64
 
 
@@ -39,19 +40,21 @@ def panel_nodes(edges, npts=16):
     return nodes, weights
 
 
-def panel_count(min_frac):
+def panel_count(min_frac, ratio=_RATIO):
     """Number of panels :func:`geometric_edges` lays on an interval graded
-    down to ``min_frac`` of its length; accepts arrays."""
-    n = np.ceil(np.log(1.0 / np.asarray(min_frac, dtype=float)) / np.log(_RATIO))
+    at ``ratio`` down to ``min_frac`` of its length; accepts arrays."""
+    n = np.ceil(np.log(1.0 / np.asarray(min_frac, dtype=float)) / np.log(ratio))
     return np.clip(n, 2, _MAX_PANELS).astype(int)
 
 
-def geometric_edges(a, b, *, toward="left", min_frac=1e-13):
+def geometric_edges(a, b, *, toward="left", min_frac=1e-13, ratio=_RATIO):
     """Panel edges on [a, b], graded geometrically toward one or both ends.
 
     The panel adjacent to the graded end has length ~ ``min_frac * (b - a)``
     so that endpoint algebraic singularities of the integrand's derivatives
-    are resolved without adaptive refinement.
+    are resolved without adaptive refinement.  Each panel is ``ratio`` times
+    longer than its neighbour on the graded side; ``toward="both"`` grades
+    each half of [a, b] toward its own end.
 
     Scalar ``a`` and ``b`` give one 1-d array of edges.  1-d arrays of ``a``,
     ``b`` (and ``min_frac``) give one row of edges per segment, each row
@@ -64,14 +67,16 @@ def geometric_edges(a, b, *, toward="left", min_frac=1e-13):
         raise ValueError("empty interval")
     if toward == "both":
         mid = 0.5 * (a + b)
-        left = geometric_edges(a, mid, toward="left", min_frac=min_frac)
-        right = geometric_edges(mid, b, toward="right", min_frac=min_frac)
+        left = geometric_edges(a, mid, toward="left", min_frac=min_frac,
+                               ratio=ratio)
+        right = geometric_edges(mid, b, toward="right", min_frac=min_frac,
+                                ratio=ratio)
         return np.concatenate([left[..., :-1], right], axis=-1)
-    counts = np.unique(panel_count(min_frac))
+    counts = np.unique(panel_count(min_frac, ratio))
     if counts.size != 1:
         raise ValueError("segments need different panel counts; batch them "
                          "by panel_count")
-    t = _RATIO ** np.arange(int(counts[0]) + 1, dtype=float)
+    t = ratio ** np.arange(int(counts[0]) + 1, dtype=float)
     t = (t - 1.0) / (t[-1] - 1.0)
     a = a[..., None]
     b = b[..., None]

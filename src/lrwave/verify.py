@@ -28,7 +28,7 @@ from . import stats as st
 __all__ = ["TOLERANCES", "CHECKS", "run_verify_suites"]
 
 # the keys and defaults of a config's "tolerances" overrides
-TOLERANCES = {"renorm": 1e-6, "conservation": 1e-8, "sh_quad": 1e-4}
+TOLERANCES = {"renorm": 1e-6, "conservation": 1e-8, "sh_quad": 1e-9}
 
 
 class _GaussianField:

@@ -61,10 +61,8 @@ class TestFgnCovariance:
     @given(hurst_lr, st.integers(min_value=1, max_value=500))
     @settings(max_examples=30, deadline=None)
     def test_matches_increment_field_at_integer_lags(self, h, k):
-        # the identity is exact; the tolerance covers the cancellation of the
-        # second difference at large lags (relative error ~ eps * k^2)
         assert increment_field_covariance(float(k), 0.0, h, h) == pytest.approx(
-            fgn_covariance(h, k), rel=1e-6, abs=4e-16 * k ** 2)
+            fgn_covariance(h, k), rel=1e-12)
 
     @pytest.mark.parametrize("h1, h2", [(0.6, 0.6), (0.9, 0.9), (0.6, 0.9)])
     def test_large_lags_match_long_double_series(self, h1, h2):

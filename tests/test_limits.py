@@ -75,6 +75,13 @@ class TestSimulateHermite:
         assert np.array_equal(simulate_hermite(h, k, n, (70, k)).values,
                               expected)
 
+    def test_normalization_computed_once_per_key(self):
+        lm._hermite_sum_std.cache_clear()
+        for seed in range(3):
+            simulate_hermite(0.7, 2, 512, seed)
+        info = lm._hermite_sum_std.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
 
 class TestSimulateSh:
     def test_deterministic(self):
@@ -293,10 +300,10 @@ class TestRankKNormalization:
 
 class TestShCovariance:
     def test_constant_index_identity(self):
-        for h in (0.55, 0.7, 0.9):
+        for h in (0.55, 0.7, 0.75, 0.9):
             for z in (0.4, 1.0):
                 assert sh_covariance(h, z, z) == pytest.approx(
-                    z ** (2 * h), rel=1e-4)
+                    z ** (2 * h), rel=0.0, abs=1e-10)
 
     def test_zero_depth(self):
         assert sh_covariance(0.7, 0.0, 1.0) == 0.0
@@ -351,7 +358,10 @@ def _reference_inner(u1, z2, h_prof, j1_sq, band, npts=12):
     return total
 
 
-def _reference_sh_covariance(h_profile, z1, z2, *, j1=1.0, band=1e-3, npts=16):
+def _reference_sh_covariance(h_profile, z1, z2, *, j1=1.0, band=1e-3, npts=16,
+                             ratio=8.0, min_frac=1e-7):
+    """sh_covariance as a per-node loop over an outer mesh graded at
+    ``ratio`` down to ``min_frac``."""
     if callable(h_profile):
         prof = h_profile
     else:
@@ -360,7 +370,8 @@ def _reference_sh_covariance(h_profile, z1, z2, *, j1=1.0, band=1e-3, npts=16):
     breakpoints = [0.0, z1] if z2 >= z1 else [0.0, z2, z1]
     outer_edges = []
     for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        seg = geometric_edges(a, b, toward="both", min_frac=1e-9)
+        seg = geometric_edges(a, b, toward="both", min_frac=min_frac,
+                              ratio=ratio)
         outer_edges.append(seg if not outer_edges else seg[1:])
     nodes, weights = panel_nodes(np.concatenate(outer_edges), npts)
     inner = np.array([_reference_inner(float(u), z2, prof, float(j1) ** 2, delta)
@@ -383,6 +394,17 @@ class TestShCovarianceRule:
         prof = _figure_profiles()[j]
         assert sh_covariance(prof, z1, z2, j1=j1) == pytest.approx(
             _reference_sh_covariance(prof, z1, z2, j1=j1), rel=1e-12)
+
+    @pytest.mark.parametrize("j", [0, 1])
+    @pytest.mark.parametrize("z1,z2", [(0.25, 1.0), (0.75, 1.0), (1.0, 1.0),
+                                       (1.0, 0.5)])
+    def test_within_budget_of_fine_outer_mesh(self, j, z1, z2):
+        # the outer mesh at ratio 2 down to 1e-9 resolves the u1 endpoint
+        # singularities to about 1e-10; the band's own error is about 8e-8
+        prof = _figure_profiles()[j]
+        assert sh_covariance(prof, z1, z2) == pytest.approx(
+            _reference_sh_covariance(prof, z1, z2, ratio=2.0, min_frac=1e-9),
+            rel=2e-9)
 
     def test_constant_float_index(self):
         assert sh_covariance(0.7, 0.75, 0.25) == pytest.approx(

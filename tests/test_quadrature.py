@@ -41,6 +41,23 @@ class TestBatchedPanels:
         assert np.all(np.diff(edges) > 0)
         assert edges[1] == pytest.approx(1.0 / (2.0 ** 10 - 1.0))
 
+    @pytest.mark.parametrize("ratio", [1.5, 2.0, 8.0])
+    @pytest.mark.parametrize("min_frac", [1e-3, 1e-7, 1e-9])
+    def test_ratio_sets_panel_growth(self, ratio, min_frac):
+        edges = geometric_edges(0.0, 1.5, min_frac=min_frac, ratio=ratio)
+        assert edges.shape == (panel_count(min_frac, ratio) + 1,)
+        assert edges[0] == 0.0 and edges[-1] == 1.5
+        lengths = np.diff(edges)
+        assert lengths[1:] / lengths[:-1] == pytest.approx(ratio, rel=1e-9)
+
+    def test_default_ratio_is_two(self):
+        for toward in ("left", "right", "both"):
+            assert np.array_equal(
+                geometric_edges(0.0, 1.0, toward=toward, min_frac=1e-9),
+                geometric_edges(0.0, 1.0, toward=toward, min_frac=1e-9,
+                                ratio=2.0))
+        assert panel_count(1e-9) == panel_count(1e-9, 2.0) == 30
+
     def test_mixed_panel_counts_rejected(self):
         with pytest.raises(ValueError):
             geometric_edges(np.zeros(2), np.ones(2), min_frac=np.array([0.25, 1e-3]))
