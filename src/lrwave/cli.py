@@ -241,8 +241,8 @@ def main(argv=None) -> int:
     parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--seed", type=int, help="override the base seed")
     parser.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("LRWAVE_JOBS", "1")),
-                        help="parallel workers (env LRWAVE_JOBS)")
+                        help="parallel workers (default: env LRWAVE_JOBS, "
+                             "else the config's jobs)")
     parser.add_argument("--out", help="output directory")
     args = parser.parse_args(argv)
 
@@ -253,7 +253,10 @@ def main(argv=None) -> int:
         overrides["seed"] = args.seed
     if args.out:
         overrides["output_dir"] = args.out
-    overrides["jobs"] = args.jobs
+    if args.jobs is not None:
+        overrides["jobs"] = args.jobs
+    elif "LRWAVE_JOBS" in os.environ:
+        overrides["jobs"] = int(os.environ["LRWAVE_JOBS"])
     return run(args.config if args.config else {}, overrides=overrides)
 
 

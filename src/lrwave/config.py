@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .hermite import truncation
 from .limits import _checked_index
-from .medium import MediumSpec, profile_from_config
+from .medium import MediumSpec, _check_epsilon, profile_from_config
 from .pulse import gaussian_source, ricker_source
 from .verify import TOLERANCES
 
@@ -170,6 +170,8 @@ class SweepBlock:
     def __post_init__(self):
         if not self.epsilons:
             raise ConfigurationError("sweep.epsilons needs at least one")
+        for i, eps in enumerate(self.epsilons):
+            _named(f"sweep.epsilons[{i}]", _check_epsilon, eps)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .gaussian_field import (Trajectory, _asymptotic_scale,
 # unused here; kept as a module attribute that perfbench/tracer.py patches
 from .gaussian_field import synthesize_fgn  # noqa: F401
 from .hermite import hermite_poly
-from .quadrature import geometric_edges, panel_count, panel_nodes
+from .quadrature import geometric_edges, panel_nodes
 
 __all__ = [
     "simulate",
@@ -203,83 +203,73 @@ def sh_covariance(h_profile, z1, z2, *, j1=1.0) -> float:
     int int H(2H-1)|u-v|^(2H-2) = z^(2H) applies); frozen-coefficient band
     error O(h' * _SH_BAND * log^2 _SH_BAND) otherwise.
 
-    Rule: _SH_NPTS-point Gauss-Legendre in u1 on panels graded toward 0,
-    z1 and, when z2 < z1, z2, at ratio _SH_OUTER_RATIO down to
-    _SH_OUTER_MIN_FRAC of each half-segment (8 panels per graded end).  At
-    each outer node u1 the u2 integral over [0, z2] is the band
-    |u1 - u2| < delta = _SH_BAND * max(z1, z2) integrated analytically with
-    h frozen at h(u1), plus 12-point Gauss-Legendre on each flank outside
-    it, graded at ratio 2 toward u1 (toward z2 for u1 >= z2) down to
-    clip(delta / (2 * length), 1e-7, 0.25) of the flank's length.  Error
-    budget: on both configs/figures.json profiles the values stay within
-    2e-9 relative of the outer mesh at ratio 2 down to 1e-9, well under
-    the band's own error of about 8e-8 (the move from _SH_BAND = 1e-3 to
-    1e-4); the constant-index identity holds to about 5e-12.
+    Rule: the integrand is symmetric in (u1, u2), so (z1, z2) is sorted to
+    z1 <= z2 and C(z1, z2) == C(z2, z1) exactly.  _SH_NPTS-point
+    Gauss-Legendre in u1 on [0, z1], graded toward both ends at ratio
+    _SH_OUTER_RATIO down to _SH_OUTER_MIN_FRAC of each half (8 panels per
+    end).  At each outer node u1 the u2 integral over [0, z2] is the band
+    |u1 - u2| < delta = _SH_BAND * z2 integrated analytically with h frozen
+    at h(u1), plus 12-point Gauss-Legendre on each flank outside it, graded
+    at ratio 2 toward u1.  Every flank ends delta from u1 and has length
+    L <= z2, so 0.5 * delta / L >= _SH_BAND / 2: one unit edge vector per
+    direction, graded down to _SH_BAND / 2 and scaled to each flank, puts
+    a first panel of at most delta / 2 next to the singular point, the
+    grading a flank of length z2 needs and finer than a shorter one
+    needs.  Error budget: on both configs/figures.json profiles the values
+    stay within 2e-9 relative of the outer mesh at ratio 2 down to 1e-9,
+    well under the band's own error of about 8e-8 (the move from
+    _SH_BAND = 1e-3 to 1e-4); the constant-index identity holds to about
+    5e-12 in either order of (z1, z2).
 
-    Evaluation: the flanks of all outer nodes form one segment table.  Rows
-    with the same panel count and grading direction become one 2-d node
-    array, so the profile and R are evaluated once per group (up to about
-    twenty per call), and the row sums are added back onto their outer
-    nodes.  Only the summation order differs from a node-by-node loop.
+    Evaluation: the flanks of all outer nodes form one 2-d node array, so
+    the profile and R are evaluated in one pass and the row sums are added
+    back onto their outer nodes.
     """
-    z1 = float(z1)
-    z2 = float(z2)
-    if z1 < 0 or z2 < 0:
-        raise DomainError("depths must be nonnegative")
-    if z1 == 0.0 or z2 == 0.0:
+    z1, z2 = sorted((float(z1), float(z2)))
+    if not (z1 >= 0 and z2 < math.inf):
+        raise DomainError("depths must be finite and nonnegative")
+    if z1 == 0.0:
         return 0.0
     prof = _as_profile(h_profile)
-    check = np.linspace(0.0, max(z1, z2), 65)
+    check = np.linspace(0.0, z2, 65)
     _checked_index(prof(check), check.shape)
     j1_sq = float(j1) ** 2
-    delta = _SH_BAND * max(z1, z2)
+    delta = _SH_BAND * z2
 
-    breakpoints = [0.0, z1] if z2 >= z1 else [0.0, z2, z1]
-    outer_edges = []
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        seg = geometric_edges(a, b, toward="both",
-                              min_frac=_SH_OUTER_MIN_FRAC, ratio=_SH_OUTER_RATIO)
-        outer_edges.append(seg if not outer_edges else seg[1:])
-    u, w = panel_nodes(np.concatenate(outer_edges), _SH_NPTS)
+    u, w = panel_nodes(geometric_edges(0.0, z1, toward="both",
+                                       min_frac=_SH_OUTER_MIN_FRAC,
+                                       ratio=_SH_OUTER_RATIO), _SH_NPTS)
     # the profile is checked here and at the flank nodes, so R is
     # evaluated by the unchecked kernel
     h1 = _checked_index(prof(u), u.shape)
 
-    # analytic diagonal band at the nodes inside [0, z2)
-    inside = u < z2
+    # analytic diagonal band; every outer node lies inside (0, z2)
     d_left = np.minimum(delta, u)
     d_right = np.minimum(delta, z2 - u)
-    h_in, dl, dr = h1[inside], d_left[inside], d_right[inside]
-    inner = np.zeros_like(u)
-    inner[inside] = (j1_sq * _asymptotic_scale(h_in, h_in)
-                     * (dl ** (2 * h_in - 1) + dr ** (2 * h_in - 1))
-                     / (2 * h_in - 1))
+    inner = (j1_sq * _asymptotic_scale(h1, h1)
+             * (d_left ** (2 * h1 - 1) + d_right ** (2 * h1 - 1))
+             / (2 * h1 - 1))
 
-    # flank segments (owner node, a, b): left of the band, or all of [0, z2]
-    # for nodes beyond z2, graded toward b; right of the band, toward a
-    left_b = np.where(inside, u - d_left, z2)
+    # flanks (owner node, start, length): [0, u1 - delta] graded toward its
+    # end, [u1 + delta, z2] toward its start
+    left_b = u - d_left
     right_a = u + d_right
     has_left = left_b > 0
-    has_right = inside & (right_a < z2)
+    has_right = right_a < z2
     n_left, n_right = int(has_left.sum()), int(has_right.sum())
     owner = np.concatenate([np.flatnonzero(has_left), np.flatnonzero(has_right)])
-    seg_a = np.concatenate([np.zeros(n_left), right_a[has_right]])
-    seg_b = np.concatenate([left_b[has_left], np.full(n_right, z2)])
-    toward_b = np.arange(owner.size) < n_left
-    frac = np.clip(0.5 * delta / (seg_b - seg_a), 1e-7, 0.25)
-    group = 2 * panel_count(frac) + toward_b
-    for key in np.unique(group):
-        rows = np.flatnonzero(group == key)
-        edges = geometric_edges(seg_a[rows], seg_b[rows], min_frac=frac[rows],
-                                toward="right" if key % 2 else "left")
-        nodes, weights = panel_nodes(edges, 12)
-        nodes = nodes.reshape(rows.size, -1)
-        weights = weights.reshape(rows.size, -1)
-        o = owner[rows]
-        h2 = _checked_index(prof(nodes), nodes.shape)
-        hu = h1[o, None]
-        vals = (j1_sq * _asymptotic_scale(hu, h2)
-                * np.abs(u[o, None] - nodes) ** (hu + h2 - 2.0))
-        inner += np.bincount(o, weights=np.sum(weights * vals, axis=1),
-                             minlength=u.size)
+    start = np.concatenate([np.zeros(n_left), right_a[has_right]])
+    length = np.concatenate([left_b[has_left], z2 - right_a[has_right]])
+    unit = [geometric_edges(0.0, 1.0, toward=toward, min_frac=0.5 * _SH_BAND)
+            for toward in ("right", "left")]
+    unit = np.repeat(unit, [n_left, n_right], axis=0)
+    nodes, weights = panel_nodes(start[:, None] + length[:, None] * unit, 12)
+    nodes = nodes.reshape(owner.size, -1)
+    weights = weights.reshape(owner.size, -1)
+    h2 = _checked_index(prof(nodes), nodes.shape)
+    hu = h1[owner, None]
+    vals = (j1_sq * _asymptotic_scale(hu, h2)
+            * np.abs(u[owner, None] - nodes) ** (hu + h2 - 2.0))
+    inner += np.bincount(owner, weights=np.sum(weights * vals, axis=1),
+                         minlength=u.size)
     return float(np.dot(w, inner))

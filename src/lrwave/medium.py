@@ -181,11 +181,15 @@ class MediumSpec:
         return _slab_count(self.epsilon, self.depth, self.n_slabs)
 
 
+def _check_epsilon(epsilon):
+    if not (0 < epsilon < 1):
+        raise ConfigurationError("epsilon must lie in (0, 1)")
+
+
 def _slab_count(epsilon, depth, n_slabs=None) -> int:
     """Slabs of a medium on [0, depth]: ``n_slabs``, or by default the
     fewest whose width resolves the micro scale eps^2."""
-    if not (0 < epsilon < 1):
-        raise ConfigurationError("epsilon must lie in (0, 1)")
+    _check_epsilon(epsilon)
     if n_slabs is not None:
         n = int(n_slabs)
     else:

@@ -2,11 +2,10 @@
 
 Used by the covariance oracles: power-law kernels are integrable but stiff
 near their singular point, so panels are graded geometrically toward it.
-Both helpers also take a batch of segments, one row each, so that many
-inner integrals are laid out in one array pass.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -42,9 +41,9 @@ def panel_nodes(edges, npts=16):
 
 def panel_count(min_frac, ratio=_RATIO):
     """Number of panels :func:`geometric_edges` lays on an interval graded
-    at ``ratio`` down to ``min_frac`` of its length; accepts arrays."""
-    n = np.ceil(np.log(1.0 / np.asarray(min_frac, dtype=float)) / np.log(ratio))
-    return np.clip(n, 2, _MAX_PANELS).astype(int)
+    at ``ratio`` down to ``min_frac`` of its length."""
+    n = math.ceil(math.log(1.0 / min_frac) / math.log(ratio))
+    return min(max(n, 2), _MAX_PANELS)
 
 
 def geometric_edges(a, b, *, toward="left", min_frac=1e-13, ratio=_RATIO):
@@ -55,15 +54,10 @@ def geometric_edges(a, b, *, toward="left", min_frac=1e-13, ratio=_RATIO):
     are resolved without adaptive refinement.  Each panel is ``ratio`` times
     longer than its neighbour on the graded side; ``toward="both"`` grades
     each half of [a, b] toward its own end.
-
-    Scalar ``a`` and ``b`` give one 1-d array of edges.  1-d arrays of ``a``,
-    ``b`` (and ``min_frac``) give one row of edges per segment, each row
-    equal to the scalar call on that segment; all rows must need the same
-    :func:`panel_count`.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not np.all(b > a):
+    a = float(a)
+    b = float(b)
+    if not b > a:
         raise ValueError("empty interval")
     if toward == "both":
         mid = 0.5 * (a + b)
@@ -71,15 +65,9 @@ def geometric_edges(a, b, *, toward="left", min_frac=1e-13, ratio=_RATIO):
                                ratio=ratio)
         right = geometric_edges(mid, b, toward="right", min_frac=min_frac,
                                 ratio=ratio)
-        return np.concatenate([left[..., :-1], right], axis=-1)
-    counts = np.unique(panel_count(min_frac, ratio))
-    if counts.size != 1:
-        raise ValueError("segments need different panel counts; batch them "
-                         "by panel_count")
-    t = ratio ** np.arange(int(counts[0]) + 1, dtype=float)
+        return np.concatenate([left[:-1], right])
+    t = ratio ** np.arange(panel_count(min_frac, ratio) + 1, dtype=float)
     t = (t - 1.0) / (t[-1] - 1.0)
-    a = a[..., None]
-    b = b[..., None]
     length = b - a
     if toward == "left":
         return a + length * t

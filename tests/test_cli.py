@@ -259,6 +259,15 @@ class TestRun:
         assert run(dict(cfg, output_dir=str(tmp_path))) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_sweep_epsilon_range_checked_in_every_mode(self, tmp_path, capsys,
+                                                       mode):
+        # a manifest written outside sweep mode must replay in sweep mode
+        cfg = {"mode": mode, "output_dir": str(tmp_path),
+               "sweep": {"epsilons": [0.1, 1.5]}}
+        assert run(cfg) == 1
+        assert "sweep.epsilons[1]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spacing", [0, float("nan"), -0.01])
     def test_bad_level_spacing_exits_one(self, tmp_path, capsys, spacing):
         status = run({"mode": "synth", "output_dir": str(tmp_path),
@@ -377,6 +386,24 @@ class TestMain:
         assert status == 0
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["config"]["jobs"] == 3
+
+    def test_jobs_precedence(self, tmp_path, monkeypatch):
+        """--jobs, then LRWAVE_JOBS, then the config's jobs."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "limits", "jobs": 3, "limits":
+                                    {"kind": "fbm", "h": 0.7, "n": 64}}))
+
+        def jobs(out, *flags):
+            assert main(["--config", str(path), "--out", str(out),
+                         *flags]) == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            return manifest["config"]["jobs"]
+
+        monkeypatch.delenv("LRWAVE_JOBS", raising=False)
+        assert jobs(tmp_path / "config") == 3
+        monkeypatch.setenv("LRWAVE_JOBS", "2")
+        assert jobs(tmp_path / "env") == 2
+        assert jobs(tmp_path / "flag", "--jobs", "4") == 4
 
 
 class TestSerialize:

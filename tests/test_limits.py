@@ -311,9 +311,19 @@ class TestShCovariance:
 
     def test_symmetry_varying_profile(self):
         prof = lambda u: 0.6 + 0.25 * np.asarray(u)
-        a = sh_covariance(prof, 0.8, 0.3)
-        b = sh_covariance(prof, 0.3, 0.8)
-        assert a == pytest.approx(b, rel=1e-6)
+        assert sh_covariance(prof, 0.8, 0.3) == sh_covariance(prof, 0.3, 0.8)
+
+    @pytest.mark.parametrize("j", [0, 1])
+    @pytest.mark.parametrize("z1,z2", [(0.3, 0.8), (0.25, 1.0), (0.5, 1.0)])
+    def test_symmetry_figure_profiles_exact(self, j, z1, z2):
+        prof = _figure_profiles()[j]
+        assert sh_covariance(prof, z1, z2) == sh_covariance(prof, z2, z1)
+
+    @pytest.mark.parametrize("h", [0.55, 0.75, 0.9])
+    @pytest.mark.parametrize("z1,z2", [(0.75, 0.25), (1.0, 0.4)])
+    def test_constant_index_identity_deeper_first(self, h, z1, z2):
+        assert sh_covariance(h, z1, z2) == pytest.approx(
+            hermite_covariance(h, z1, z2), rel=0.0, abs=1e-10)
 
     def test_constant_profile_off_diagonal(self):
         assert sh_covariance(0.7, 1.0, 0.5) == pytest.approx(
@@ -326,27 +336,28 @@ class TestShCovariance:
     def test_domain(self):
         with pytest.raises(DomainError):
             sh_covariance(0.7, -1.0, 1.0)
+        for bad in (math.nan, math.inf):
+            for z1, z2 in ((bad, 1.0), (1.0, bad)):
+                with pytest.raises(DomainError):
+                    sh_covariance(0.7, z1, z2)
         with pytest.raises(DomainError):
             sh_covariance(0.3, 1.0, 1.0)
 
 
 def _reference_inner(u1, z2, h_prof, j1_sq, band, npts=12):
-    """Inner integral at one outer node, one scalar node at a time: the
-    quadrature rule of sh_covariance written as a per-node loop."""
+    """Inner integral at one outer node u1 < z2, one scalar node at a time,
+    with each flank graded on its own down to half the band (or a quarter
+    of its length)."""
     h1 = float(h_prof(np.asarray(u1)))
-    total = 0.0
-    if u1 < z2:
-        d_left = min(band, u1)
-        d_right = min(band, z2 - u1)
-        r11 = j1_sq * asymptotic_covariance_scale(h1, h1)
-        total += r11 * (d_left ** (2 * h1 - 1) + d_right ** (2 * h1 - 1)) / (2 * h1 - 1)
-        segments = []
-        if u1 - d_left > 0:
-            segments.append((0.0, u1 - d_left, "right"))
-        if u1 + d_right < z2:
-            segments.append((u1 + d_right, z2, "left"))
-    else:
-        segments = [(0.0, z2, "right")] if z2 > 0 else []
+    d_left = min(band, u1)
+    d_right = min(band, z2 - u1)
+    r11 = j1_sq * asymptotic_covariance_scale(h1, h1)
+    total = r11 * (d_left ** (2 * h1 - 1) + d_right ** (2 * h1 - 1)) / (2 * h1 - 1)
+    segments = []
+    if u1 - d_left > 0:
+        segments.append((0.0, u1 - d_left, "right"))
+    if u1 + d_right < z2:
+        segments.append((u1 + d_right, z2, "left"))
     for a, b, toward in segments:
         frac = min(0.25, max(1e-7, 0.5 * band / (b - a)))
         edges = geometric_edges(a, b, toward=toward, min_frac=frac)
@@ -360,21 +371,18 @@ def _reference_inner(u1, z2, h_prof, j1_sq, band, npts=12):
 
 def _reference_sh_covariance(h_profile, z1, z2, *, j1=1.0, band=1e-3, npts=16,
                              ratio=8.0, min_frac=1e-7):
-    """sh_covariance as a per-node loop over an outer mesh graded at
-    ``ratio`` down to ``min_frac``."""
+    """sh_covariance as a per-node loop over [0, min(z1, z2)], the outer
+    mesh graded at ``ratio`` down to ``min_frac``."""
     if callable(h_profile):
         prof = h_profile
     else:
         prof = lambda u: np.full_like(np.asarray(u, dtype=float), float(h_profile))
-    delta = band * max(z1, z2)
-    breakpoints = [0.0, z1] if z2 >= z1 else [0.0, z2, z1]
-    outer_edges = []
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        seg = geometric_edges(a, b, toward="both", min_frac=min_frac,
-                              ratio=ratio)
-        outer_edges.append(seg if not outer_edges else seg[1:])
-    nodes, weights = panel_nodes(np.concatenate(outer_edges), npts)
-    inner = np.array([_reference_inner(float(u), z2, prof, float(j1) ** 2, delta)
+    z1, z2 = sorted((z1, z2))
+    edges = geometric_edges(0.0, z1, toward="both", min_frac=min_frac,
+                            ratio=ratio)
+    nodes, weights = panel_nodes(edges, npts)
+    inner = np.array([_reference_inner(float(u), z2, prof, float(j1) ** 2,
+                                       band * z2)
                       for u in nodes])
     return float(np.dot(weights, inner))
 
@@ -385,7 +393,8 @@ def _figure_profiles():
 
 
 class TestShCovarianceRule:
-    """The batched oracle against the per-node loop it replaced."""
+    """The oracle against a per-node loop that grades each flank on its
+    own."""
 
     @pytest.mark.parametrize("j", [0, 1])
     @pytest.mark.parametrize("z1,z2,j1", [(0.3, 0.8, 1.0), (0.8, 0.3, 1.0),
