@@ -8,8 +8,8 @@ that tie the two together.
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigurationError, DomainError, PhaseResolutionError,
-                     QuadratureError, StateError, SynthesisError, WindowError)
+from .errors import (ConfigurationError, DomainError, QuadratureError,
+                     StateError, SynthesisError, WindowError)
 from .gaussian_field import (Trajectory, asymptotic_covariance_scale,
                              fgn_covariance, field_covariance,
                              increment_field_covariance, renorm_constant,

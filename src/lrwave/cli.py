@@ -130,7 +130,9 @@ def _run_sweep(cfg: ExperimentConfig, out, artifacts):
         widths = np.array([r["width_ratio"] for r in records])
         shifts = np.array([r["best_shift"] for r in records])
         v1h = np.array([r["v1_half"] for r in records])
-        corr = float(np.corrcoef(shifts, v1h)[0, 1]) if len(records) > 1 else 1.0
+        # undefined (null) for one realization or a column without spread
+        defined = len(records) > 1 and np.ptp(shifts) > 0 and np.ptp(v1h) > 0
+        corr = float(np.corrcoef(shifts, v1h)[0, 1]) if defined else None
         cells.append({
             "epsilon": float(eps),
             "n_realizations": len(records),
@@ -140,7 +142,8 @@ def _run_sweep(cfg: ExperimentConfig, out, artifacts):
         })
         print("[sweep] epsilon {epsilon:g} median_l2 {median_l2:.6g} "
               "median_width_ratio {median_width_ratio:.6g} "
-              "shift_vs_v1_corr {shift_vs_v1_corr:.6g}".format(**cells[-1]))
+              "shift_vs_v1_corr {corr:.6g}".format(
+                  **cells[-1], corr=np.nan if corr is None else corr))
     artifacts.append(write_json(out / "records.json", all_records))
     artifacts.append(write_json(out / "sweep.json", cells))
     return {"cells": len(cells),
@@ -256,7 +259,12 @@ def main(argv=None) -> int:
     if args.jobs is not None:
         overrides["jobs"] = args.jobs
     elif "LRWAVE_JOBS" in os.environ:
-        overrides["jobs"] = int(os.environ["LRWAVE_JOBS"])
+        try:
+            overrides["jobs"] = int(os.environ["LRWAVE_JOBS"])
+        except ValueError:
+            print("configuration error: LRWAVE_JOBS must be an integer, got "
+                  f"{os.environ['LRWAVE_JOBS']!r}", file=sys.stderr)
+            return 1
     return run(args.config if args.config else {}, overrides=overrides)
 
 

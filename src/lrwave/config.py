@@ -241,6 +241,8 @@ class ExperimentConfig:
                 f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.seed < 0:      # numpy seed sequences take no negative entry
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if self.jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
         if self.mode == "sweep":
             for i, eps in enumerate(self.sweep.epsilons):
                 _named(f"sweep.epsilons[{i}]", self.medium.to_spec, 0, eps)

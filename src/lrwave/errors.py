@@ -21,10 +21,6 @@ class QuadratureError(RuntimeError):
         self.residual = residual
 
 
-class PhaseResolutionError(ConfigurationError):
-    """Oscillatory phase is under-resolved by the depth grid."""
-
-
 class WindowError(ConfigurationError):
     """A time shift or trace leaves the observation window."""
 

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, PhaseResolutionError
+from .errors import ConfigurationError, DomainError
 from .gaussian_field import (Trajectory, asymptotic_covariance_scale,
                              increment_field_covariance, sample_field_diagonal)
 from .hermite import (HermiteSpec, Truncation, composed_covariance,
@@ -51,8 +51,6 @@ __all__ = [
 ]
 
 MAX_SLABS = 1 << 22
-# largest phase increment omega * dz / eps^tau of a v_triple or propagator step
-MAX_PHASE_STEP = np.pi / 8.0
 
 # assumption checks: pair lags are measured against eps^_LAM; A2 keeps lags
 # beyond _A2_Z_DELTA of it and A3 those up to _A3_RHO of it; A3 flags points
@@ -139,22 +137,14 @@ class MediumSpec:
                 "give exactly one of gamma_profile and h_profile")
         if self.truncation.name != "zero":
             object.__setattr__(self, "hermite", hermite_coeffs(self.truncation))
-        k = self.rank
-        u = np.linspace(0.0, 1.0, 257)
-        g = self.gamma(u)
-        if np.any(g <= 0.0) or np.any(g >= 1.0):
+        # gamma = (2 - 2h)/K with K >= 1: h in (1/2, 1) is gamma * K in
+        # (0, 1), which implies gamma in (0, 1)
+        h = self.h(np.linspace(0.0, 1.0, 257))
+        if not np.all((h > 0.5) & (h < 1.0)):
             raise ConfigurationError(
-                "violated constraint: gamma(z) must lie in (0, 1) "
-                f"(range found [{g.min():.3f}, {g.max():.3f}])")
-        if np.any(g * k >= 1.0):
-            raise ConfigurationError(
-                f"violated constraint: gamma(z) * K < 1 needed for rank K={k} "
-                f"(max gamma*K = {float(np.max(g * k)):.3f})")
-        h = self.h(u)
-        if np.any(h <= 0.5) or np.any(h >= 1.0):
-            raise ConfigurationError(
-                "violated constraint: h(z) = (2 - gamma(z) K)/2 must lie in "
-                f"(1/2, 1) (range found [{h.min():.3f}, {h.max():.3f}])")
+                "violated constraint: gamma(z) * K must lie in (0, 1) for rank "
+                f"K={self.rank}, i.e. h(z) in (1/2, 1) (h range found "
+                f"[{h.min():.3f}, {h.max():.3f}])")
 
     @property
     def rank(self) -> int:
@@ -295,25 +285,21 @@ class VTriple:
 
 
 def v_triple(real: MediumRealization, omega) -> VTriple:
-    """Midpoint (frozen-phase) cumulative quadrature of the three integrals.
+    """Cumulative integrals, exact per slab at every frequency.
 
-    The phase increment per slab, omega * dz / eps^tau, must not exceed
-    MAX_PHASE_STEP (pi/8); beyond that the oscillation is under-resolved and
-    a finer grid is needed.
+    nu_eps is constant on a slab, so the slab integral of nu cos(phi) with
+    phi = 2 omega z / eps^tau is nu dz cos(phi_mid) sinc(omega dz / eps^tau)
+    (sin likewise), sinc(x) = sin(x)/x.
     """
     omega = float(omega)
     dz = real.dz
     eps_tau = real.epsilon ** real.tau
-    phase_step = abs(omega) * dz / eps_tau
-    if phase_step > MAX_PHASE_STEP + 1e-12:
-        raise PhaseResolutionError(
-            f"omega * dz / eps^tau = {phase_step:.3f} exceeds pi/8; "
-            "use a finer slab grid for this frequency")
     phases = 2.0 * omega * real.z_mid / eps_tau
+    weight = dz * np.sinc(omega * dz / (np.pi * eps_tau))
     contributions = {
         "v1": real.nu_eps * dz,
-        "v2": real.nu_eps * np.cos(phases) * dz,
-        "v3": real.nu_eps * np.sin(phases) * dz,
+        "v2": real.nu_eps * np.cos(phases) * weight,
+        "v3": real.nu_eps * np.sin(phases) * weight,
     }
     out = {}
     for name, contrib in contributions.items():

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, StateError
-from .medium import MAX_PHASE_STEP, MediumRealization
+from .medium import MediumRealization
 
 __all__ = [
     "PropagatorState",
@@ -36,6 +36,8 @@ __all__ = [
     "spectrum",
 ]
 
+# largest phase increment omega * dz / eps^tau of a sub-step
+MAX_PHASE_STEP = np.pi / 8.0
 # steps per tree-reduced block; fixed, so that a frequency's result does not
 # depend on which other frequencies share its sub-step bin
 _BLOCK = 256

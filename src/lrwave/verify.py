@@ -128,7 +128,7 @@ class _Medium:
         vt = md.v_triple(const, 2.0)
         closed = 3.0 * 0.1 * np.sin(2 * 2.0 * 1.0 / 0.1) / (2 * 2.0)
         rel = abs(vt.v2.values[-1] - closed) / abs(closed)
-        return rel < 0.01, f"rel {rel:.1e}"
+        return rel < 1e-12, f"rel {rel:.1e}"
 
     def a2_exact(self, tol):
         rep = md.check_a2(self.spec)

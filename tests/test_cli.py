@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,8 @@ from lrwave.config import LIMIT_KINDS, MODES, ExperimentConfig
 from lrwave.errors import ConfigurationError
 from lrwave.serialize import fmt, read_csv, write_csv
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def tiny_sweep_config(out, jobs=1):
@@ -154,6 +158,21 @@ class TestRun:
         assert len(records) == 6
         assert all(r["conservation_defect"] < 1e-8 for r in records)
 
+    @pytest.mark.parametrize("medium, n_real", [
+        ({"truncation": {"name": "zero"}}, 3),     # v1_half is 0 throughout
+        ({}, 1),
+    ])
+    def test_sweep_undefined_correlation_is_null(self, tmp_path, capsys,
+                                                 medium, n_real):
+        assert run({"mode": "sweep", "output_dir": str(tmp_path),
+                    "medium": medium, "ensemble": {"n_realizations": n_real},
+                    "sweep": {"epsilons": [0.1]}, "source": {"n": 512}}) == 0
+        cells = json.loads((tmp_path / "sweep.json").read_text())
+        assert cells[0]["shift_vs_v1_corr"] is None
+        assert (tmp_path / "run_manifest.json").exists()
+        assert capsys.readouterr().out.split()[-2:] == ["shift_vs_v1_corr",
+                                                        "nan"]
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         assert run(tiny_sweep_config(tmp_path / "serial", jobs=1)) == 0
         assert run(tiny_sweep_config(tmp_path / "par", jobs=2)) == 0
@@ -202,6 +221,8 @@ class TestRun:
         ("ensemble.n_realizations",
          {"mode": "synth", "ensemble": {"n_realizations": "2"}}),
         ("jobs", {"mode": "synth", "jobs": "x"}),
+        ("jobs", {"mode": "synth", "jobs": 0}),
+        ("jobs", {"mode": "synth", "jobs": -2}),
         ("seed", {"mode": "synth", "seed": 3.7}),
         ("seed", {"mode": "synth", "seed": -1}),
         ("limits.n", {"mode": "limits", "limits": {"n": "512"}}),
@@ -404,6 +425,37 @@ class TestMain:
         monkeypatch.setenv("LRWAVE_JOBS", "2")
         assert jobs(tmp_path / "env") == 2
         assert jobs(tmp_path / "flag", "--jobs", "4") == 4
+
+
+    @pytest.mark.parametrize("flags, env", [
+        (["--jobs", "0"], None), ([], "-2"), ([], "x"), ([], "")])
+    def test_bad_jobs_exits_one(self, tmp_path, monkeypatch, capsys, flags,
+                                env):
+        monkeypatch.delenv("LRWAVE_JOBS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("LRWAVE_JOBS", env)
+        out = tmp_path / "out"
+        assert main(["--mode", "limits", "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert ("LRWAVE_JOBS" if env in ("x", "") else "jobs") in err
+        assert not out.exists()
+
+
+class TestShipped:
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_config_parses(self, path):
+        assert ExperimentConfig.from_file(path).mode in MODES
+
+    def test_assumption_checks_script(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "assumption_checks.py")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "moderate-lag power law: pass" in proc.stdout
+        assert "short-lag integrability: pass" in proc.stdout
 
 
 class TestSerialize:

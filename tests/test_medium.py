@@ -6,11 +6,10 @@ from dataclasses import replace
 from scipy.stats import kstest
 
 from lrwave import (ConfigurationError, DomainError, MediumSpec,
-                    PhaseResolutionError, build_medium, check_a2, check_a3,
-                    constant_profile, fgn_covariance, linear_profile,
-                    periodic_profile, profile_from_config, truncation,
-                    v_triple, white_medium)
-from lrwave.medium import MAX_PHASE_STEP, MAX_SLABS, slab_covariance
+                    build_medium, check_a2, check_a3, constant_profile,
+                    fgn_covariance, linear_profile, periodic_profile,
+                    profile_from_config, truncation, v_triple, white_medium)
+from lrwave.medium import MAX_SLABS, slab_covariance
 
 
 def lr_spec(eps=0.1, gamma=0.8, seed=0, **kw):
@@ -133,13 +132,20 @@ class TestVTriple:
         assert np.allclose(vt.v2.values, vt.v1.values)
         assert np.all(vt.v3.values == 0.0)
 
-    def test_phase_guard(self):
+    @pytest.mark.parametrize("omega", [-3.0, 2.0, 50.0, 400.0])
+    def test_slab_integrals_exact(self, omega):
+        """v2 and v3 are the exact slab sums of nu against cos and sin of
+        phi = 2 omega z / eps^tau, far beyond pi/8 of phase per slab."""
         r = build_medium(lr_spec(seed=1))
-        limit = MAX_PHASE_STEP * r.epsilon ** r.tau / r.dz
-        v_triple(r, limit)
-        for omega in (1.01 * limit, 50.0):
-            with pytest.raises(PhaseResolutionError):
-                v_triple(r, omega)
+        scale = r.epsilon ** r.tau / (2.0 * omega)
+        phi = 2.0 * omega * r.z_grid / r.epsilon ** r.tau
+        v2 = np.cumsum(r.nu_eps * scale * (np.sin(phi[1:]) - np.sin(phi[:-1])))
+        v3 = np.cumsum(r.nu_eps * scale * (np.cos(phi[:-1]) - np.cos(phi[1:])))
+        vt = v_triple(r, omega)
+        tol = 1e-12 * np.sum(np.abs(r.nu_eps)) * r.dz
+        assert vt.v2.values[0] == 0.0 and vt.v3.values[0] == 0.0
+        assert np.max(np.abs(vt.v2.values[1:] - v2)) < tol
+        assert np.max(np.abs(vt.v3.values[1:] - v3)) < tol
 
     def test_oscillatory_parts_vanish(self):
         """Var v2(Z), Var v3(Z) decrease as eps does (fixed frequency)."""

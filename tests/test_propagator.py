@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from lrwave import (ConfigurationError, FrequencyGrid, MediumSpec, StateError,
                     build_medium, constant_profile, propagate, spectrum,
                     transmission, v_triple)
-from lrwave.medium import MAX_PHASE_STEP
-from lrwave.propagator import (_BLOCK, PropagatorState, _slab_product,
-                               _substeps)
+from lrwave.propagator import (_BLOCK, MAX_PHASE_STEP, PropagatorState,
+                               _slab_product, _substeps)
 
 
 @pytest.fixture(scope="module")
