@@ -221,8 +221,6 @@ class TestRun:
         ("ensemble.n_realizations",
          {"mode": "synth", "ensemble": {"n_realizations": "2"}}),
         ("jobs", {"mode": "synth", "jobs": "x"}),
-        ("jobs", {"mode": "synth", "jobs": 0}),
-        ("jobs", {"mode": "synth", "jobs": -2}),
         ("seed", {"mode": "synth", "seed": 3.7}),
         ("seed", {"mode": "synth", "seed": -1}),
         ("limits.n", {"mode": "limits", "limits": {"n": "512"}}),
@@ -275,6 +273,8 @@ class TestRun:
                                                    "k": 2}}),
         ("limits.h", {"mode": "limits", "limits": {"kind": "hermite",
                                                    "k": 2}}),
+        ("jobs", {"mode": "synth", "jobs": 0}),
+        ("jobs", {"mode": "synth", "jobs": -2}),
     ])
     def test_bad_value_exits_one(self, tmp_path, capsys, key, cfg):
         assert run(dict(cfg, output_dir=str(tmp_path))) == 1
@@ -425,7 +425,6 @@ class TestMain:
         monkeypatch.setenv("LRWAVE_JOBS", "2")
         assert jobs(tmp_path / "env") == 2
         assert jobs(tmp_path / "flag", "--jobs", "4") == 4
-
 
     @pytest.mark.parametrize("flags, env", [
         (["--jobs", "0"], None), ([], "-2"), ([], "x"), ([], "")])
