@@ -18,7 +18,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -80,6 +79,9 @@ def _propagate_one(args):
 def _map_indexed(fn, items, jobs):
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    # imported here: it loads multiprocessing, which the serial path skips
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 

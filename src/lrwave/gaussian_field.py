@@ -34,7 +34,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 from .errors import ConfigurationError, DomainError, QuadratureError, SynthesisError
 
@@ -71,6 +70,16 @@ _CLIP_TOL = 1e-3
 _EIGH_BLOCK = 1024
 # levels of the index ladder that carries a field along a varying profile
 _LADDER_LEVELS = 9
+# the rational approximation of Gamma on [2, 3] in Cephes (Moshier 1989):
+# numerator and denominator, highest power first
+_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3,
+            1.04213797561761569935e-2, 4.76367800457137231464e-2,
+            2.07448227648435975150e-1, 4.94214826801497100753e-1,
+            9.99999999999999996796e-1)
+_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4,
+            -4.45641913851797240494e-3, 1.18139785222060435552e-2,
+            3.58236398605498653373e-2, -2.34591795718243348568e-1,
+            7.14304917030273074085e-2, 1.00000000000000000320e0)
 
 
 # --------------------------------------------------------------------------
@@ -94,7 +103,11 @@ class Trajectory:
         dt = np.diff(t)
         if dt.min() <= 0:
             raise ConfigurationError("trajectory grid must be strictly increasing")
-        if not np.allclose(dt, dt[0], rtol=1e-9, atol=1e-12 * max(1.0, abs(t[-1]))):
+        # allclose's rule |dt - dt0| <= atol + rtol |dt0|, which NaN fails
+        dt0 = dt[0]
+        dt -= dt0
+        if not (np.abs(dt, out=dt).max()
+                <= 1e-12 * max(1.0, abs(t[-1])) + 1e-9 * abs(dt0)):
             raise ConfigurationError("trajectory grid must be uniform")
         if not np.all(np.isfinite(v)):
             raise ConfigurationError("trajectory contains non-finite values")
@@ -197,6 +210,47 @@ def validate_hurst(h):
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError(f"hurst index must lie in (0, 1), got {h}")
     return float(arr) if arr.ndim == 0 else arr
+
+
+def _polevl(t, coef, out=None):
+    """Cephes' Horner evaluation, highest power first, into ``out`` if
+    given."""
+    out = np.multiply(t, coef[0], out=out)
+    for c in coef[1:-1]:
+        out += c
+        out *= t
+    out += coef[-1]
+    return out
+
+
+def _gamma_fn(x):
+    """Gamma on 0 < x <= 2 in Cephes' order of operations, so equal bit for
+    bit to Cephes' Gamma, which SciPy's gamma wraps.  Gamma(x) =
+    Gamma(x + 1) / x raises x by 1, and by 1 again where the raised value
+    is still below 2 (Cephes' loop tests the raised value); the rational
+    form in t = x - 2 then applies.  Below 1e-9 the value is
+    1 / ((1 + euler_gamma x) x).  A scalar gives a float."""
+    x0 = np.asarray(x, dtype=float)
+    x = x0.reshape(-1)
+    z = 1.0 / x
+    t = x + 1.0
+    low = t < 2.0
+    if low.any():
+        # divide by the raised x where it is below 2, by 1 elsewhere
+        d = low * t
+        d += ~low
+        z /= d
+        t += low
+    t -= 2.0
+    out = _polevl(t, _GAMMA_P)
+    out *= z
+    # z is spent: it takes the denominator
+    out /= _polevl(t, _GAMMA_Q, out=z)
+    tiny = x < 1e-9
+    if tiny.any():
+        xt = x[tiny]
+        out[tiny] = 1.0 / ((1.0 + 0.5772156649015329 * xt) * xt)
+    return float(out[0]) if x0.ndim == 0 else out.reshape(x0.shape)
 
 
 def renorm_constant_sq(h):
@@ -369,22 +423,39 @@ def _embedding_factor(levels, n):
     return v
 
 
+# one per key of _embedding_factor
+@functools.lru_cache(maxsize=3)
+def _noise_work(n, width):
+    """The two (n + 1, width, 2) work arrays of synthesize_coupled_fgn,
+    overwritten by each call of that shape (one call at a time; parallel
+    runs use processes): the Hermitian noise, and its product with the
+    factor, which first holds the normals.  The returned samples are the
+    inverse FFT's own array, never a work array."""
+    return np.empty((n + 1, width, 2)), np.empty((n + 1, width, 2))
+
+
 def synthesize_coupled_fgn(levels, n, seed) -> np.ndarray:
     """n samples, shape (n, L), of the coupled noises Y_a(j) = m(j, levels[a])
     by circulant embedding: exact up to the clipped eigenvalue mass (none
     for one level, fGn: Craigmile 2003, J. Time Series Anal. 24:5)."""
-    levels = tuple(float(validate_hurst(h)) for h in levels)
+    levels = tuple(validate_hurst(np.asarray(levels, dtype=float)).tolist())
     n = int(n)
     if n < 2:
         raise DomainError("need at least two samples")
     f = _embedding_factor(levels, n)
-    g = np.random.default_rng(seed).standard_normal((2 * n, len(levels)))
+    width = len(levels)
+    z, x = _noise_work(n, width)
+    # the normals sit in the product's array until the noise is built
+    g = x.reshape(-1)[:2 * n * width].reshape(2 * n, width)
+    np.random.default_rng(seed).standard_normal(out=g)
     # conjugate Hermitian noise at m = 0..n as (real, imaginary) pairs
-    z = np.zeros((n + 1, len(levels), 2))
     z[[0, n], :, 0] = g[:2]
-    z[1:n] = np.stack([g[2:n + 1], -g[n + 1:]], axis=-1) / math.sqrt(2.0)
-    x = np.matmul(f, z).view(complex)[..., 0]
-    return np.fft.irfft(x, 2 * n, axis=0, norm="forward")[:n]
+    z[[0, n], :, 1] = 0.0
+    np.divide(g[2:n + 1], math.sqrt(2.0), out=z[1:n, :, 0])
+    np.divide(g[n + 1:], -math.sqrt(2.0), out=z[1:n, :, 1])
+    np.matmul(f, z, out=x)
+    return np.fft.irfft(x.view(complex)[..., 0], 2 * n, axis=0,
+                        norm="forward")[:n]
 
 
 def synthesize_fgn(h, n, seed) -> Trajectory:
@@ -400,11 +471,14 @@ def synthesize_fgn(h, n, seed) -> Trajectory:
 # --------------------------------------------------------------------------
 
 class _SpectralContext:
-    """Noise-independent node data for one frequency grid.
+    """Noise-independent node data for one frequency grid, and the per-node
+    work arrays that each synthesis on the grid overwrites.
 
     Building the nodes and evaluating psi on two million of them dominates
     the cost of a single synthesis call, so ensemble generation reuses the
-    context across paths.
+    context across paths; reusing the work arrays spares every call fresh
+    pages.  A context serves one call at a time (parallel runs use
+    processes), and no result aliases a work array.
     """
 
     def __init__(self, grid_spec):
@@ -417,9 +491,12 @@ class _SpectralContext:
         self._stats = {}
         self._fine_phases = None
         self._origin_shift = None
-
-    def kernel_power(self, h):
-        return np.exp((0.5 - h) * self.logx)
+        k = self.x.size
+        self.normals = np.empty(2 * k)
+        self.noise = np.empty(k, dtype=complex)
+        self.base = np.empty(k, dtype=complex)
+        self.c = np.empty(k, dtype=complex)
+        self.power = np.empty(k)
 
     def origin_shift(self, z0):
         """exp(-i z0 x_k) over all nodes, cached per grid origin z0 (one
@@ -460,22 +537,26 @@ class _SpectralContext:
 _spectral_context = functools.lru_cache(maxsize=2)(_SpectralContext)
 
 
-def _field_columns(h_values, z, ctx, noise, nfold):
-    """Evaluate m(z_j, H_i) = 2 Re sum_k g_k(H_i) dB_k exp(-i z_j x_k): the
-    uniform nodes by one FFT of length ``nfold``, the refined ones by a
-    direct product."""
+def _field_columns(h_values, z, ctx, nfold):
+    """Evaluate m(z_j, H_i) = 2 Re sum_k g_k(H_i) dB_k exp(-i z_j x_k) for the
+    noise dB in ``ctx.noise``: the uniform nodes by one FFT of length
+    ``nfold``, the refined ones by a direct product."""
     nf = ctx.grid_spec.n_fine
     out = np.empty((z.size, len(h_values)))
-    base = noise * ctx.psix
+    base = np.multiply(ctx.noise, ctx.psix, out=ctx.base)
     if z[0] != 0.0:
-        base = ctx.origin_shift(z[0]) * base
+        np.multiply(ctx.origin_shift(z[0]), base, out=base)
     j = np.arange(z.size)
     twiddle = np.exp(-1j * np.pi * j / nfold)
     fine = ctx.fine_phases(z)
     n_uni = ctx.x.size - nf
     buf = np.zeros((n_uni + nfold) // nfold * nfold + nfold, dtype=complex)
     for i, h in enumerate(h_values):
-        c = base * (ctx.kernel_power(h) / renorm_constant(h))
+        # c = base * |x|^(1/2 - h) / c(h)
+        power = np.multiply(ctx.logx, 0.5 - h, out=ctx.power)
+        np.exp(power, out=power)
+        power /= renorm_constant(h)
+        c = np.multiply(base, power, out=ctx.c)
         # uniform nodes sit at x = (k + 1/2) dx, k >= 1: slot k = 0 is empty
         buf[:] = 0.0
         buf[1:1 + n_uni] = c[nf:]
@@ -509,12 +590,13 @@ def synthesize_field_grid(h_values, z_grid, *, seed=0) -> FieldGrid:
              int(round(2.0 * np.pi / (float(z[1] - z[0]) * grid_spec.dx))))
 
     ctx = _spectral_context(grid_spec)
-    rng = np.random.default_rng(seed)
-    k = ctx.widths.size
-    g = rng.standard_normal(2 * k)
-    noise = (g[:k] + 1j * g[k:]) * ctx.sqrt_half_widths
+    k = ctx.x.size
+    g = np.random.default_rng(seed).standard_normal(out=ctx.normals)
+    # dB = (g[:k] + i g[k:]) sqrt(widths / 2), one part at a time
+    np.multiply(g[:k], ctx.sqrt_half_widths, out=ctx.noise.real)
+    np.multiply(g[k:], ctx.sqrt_half_widths, out=ctx.noise.imag)
 
-    samples = _field_columns(hs, z, ctx, noise, nfold)
+    samples = _field_columns(hs, z, ctx, nfold)
     var = ctx.column_variance(hs)
     dev = np.abs(var - 1.0)
     if np.any(dev > _VAR_TOL):
@@ -539,12 +621,13 @@ def _index_ladder(lo, hi):
 def _lagrange_weights(h, levels):
     """Weights, shape (h.size, L), of the Lagrange interpolation in the
     index from columns at ``levels`` to each row's index h: all ones for
-    one level."""
-    w = np.ones((h.size, levels.size))
+    one level.  Built as one contiguous row per level and returned as its
+    transpose."""
+    w = np.ones((levels.size, h.size))
     for a, la in enumerate(levels):
         for lb in np.delete(levels, a):
-            w[:, a] *= (h - lb) / (la - lb)
-    return w
+            w[a] *= (h - lb) / (la - lb)
+    return w.T
 
 
 def sample_field_diagonal(h_of_z, z_grid, *,
@@ -561,8 +644,10 @@ def sample_field_diagonal(h_of_z, z_grid, *,
     levels = (np.array([hmin]) if hmax - hmin < 1e-12
               else _index_ladder(hmin, hmax))
     fg = synthesize_field_grid(levels, z, seed=seed)
-    values = np.sum(_lagrange_weights(h, levels) * fg.samples, axis=1)
-    return values, {"levels": fg.h_values}
+    # the samples are this call's own: weight them in place
+    samples = fg.samples
+    samples *= _lagrange_weights(h, levels)
+    return samples.sum(axis=1), {"levels": fg.h_values}
 
 
 # --------------------------------------------------------------------------

@@ -123,22 +123,36 @@ def _weighted_hermite_sum_std(h_field, weights, k):
     return math.sqrt(math.factorial(k) * var)
 
 
-def sample_field_diagonal(h_field, n, seed):
-    """Coupled noise m(j, h_field[j - 1]), j = 1..n: for a constant (scalar)
-    index the one fGn column, else interpolated in the index from the
-    Chebyshev ladder of the range of h_field widened outward to multiples of
-    _SH_LEVEL_SPACING (a top at 1 or above becomes max h_field).  Returns
-    the values and {"levels": ladder}."""
-    if np.ndim(h_field) == 0:
-        return (synthesize_coupled_fgn((h_field,), n, seed)[:, 0],
-                {"levels": np.array([h_field])})
+# four: the limits workload's two profiles at two lengths each
+@lru_cache(maxsize=4)
+def _ladder(key):
+    """Read-only Chebyshev ladder of the varying index h_field whose float64
+    bytes are ``key``, on its range widened outward to multiples of
+    _SH_LEVEL_SPACING (a top at 1 or above becomes max h_field), and its
+    Lagrange weights, shape (n, L).  Cached: every path of one profile and
+    length shares them."""
+    h_field = np.frombuffer(key)
     hi = float(h_field.max())
     lo = _SH_LEVEL_SPACING * math.floor(h_field.min() / _SH_LEVEL_SPACING)
     top = _SH_LEVEL_SPACING * math.ceil(hi / _SH_LEVEL_SPACING)
     levels = _index_ladder(lo, top if top < 1.0 else hi)
+    weights = _lagrange_weights(h_field, levels)
+    levels.flags.writeable = weights.flags.writeable = False
+    return levels, weights
+
+
+def sample_field_diagonal(h_field, n, seed):
+    """Coupled noise m(j, h_field[j - 1]), j = 1..n: for a constant (scalar)
+    index the one fGn column, else interpolated in the index from the
+    ladder of :func:`_ladder`.  Returns the values and {"levels": ladder}."""
+    if np.ndim(h_field) == 0:
+        return (synthesize_coupled_fgn((h_field,), n, seed)[:, 0],
+                {"levels": np.array([h_field])})
+    levels, weights = _ladder(np.asarray(h_field, dtype=float).tobytes())
+    # y is this call's own: weight it in place
     y = synthesize_coupled_fgn(levels, n, seed)
-    values = np.sum(_lagrange_weights(h_field, levels) * y, axis=1)
-    return values, {"levels": levels}
+    y *= weights
+    return y.sum(axis=1), {"levels": levels}
 
 
 def simulate(h_profile, k, n, seed) -> Trajectory:
@@ -173,7 +187,10 @@ def simulate(h_profile, k, n, seed) -> Trajectory:
         weights = float(n) ** (-h)
         sums = np.cumsum(weights * p)
         scale = 1.0 if k == 1 else _weighted_hermite_sum_std(h_field, weights, k)
-    return Trajectory(t, np.concatenate([[0.0], sums]) / scale)
+    values = np.concatenate([[0.0], sums])
+    if scale != 1.0:
+        values /= scale
+    return Trajectory(t, values)
 
 
 def simulate_hermite(h, k, n, seed) -> Trajectory:

@@ -15,7 +15,6 @@ import math
 from dataclasses import replace as drep
 
 import numpy as np
-from scipy.special import roots_hermitenorm
 
 from . import gaussian_field as gf
 from . import hermite as hm
@@ -67,7 +66,7 @@ class _Hermite:
     """Gauss-Hermite nodes and the cubic truncation's series."""
 
     def __init__(self):
-        self.nodes, w = roots_hermitenorm(128)
+        self.nodes, w = np.polynomial.hermite_e.hermegauss(128)
         self.w = w / np.sqrt(2 * np.pi)
         self.cubic = hm.hermite_coeffs(hm.truncation("cubic"))
 

@@ -50,6 +50,34 @@ def test_quadrature_import_is_deferred():
         float(lrwave.renorm_constant_sq(0.7)), rel=1e-9)
 
 
+def test_run_modes_import_no_scipy(tmp_path):
+    """A fresh interpreter imports the package and its CLI and runs tiny
+    synth, sweep, propagate and limits configs without loading scipy."""
+    medium = {"epsilon": 0.1, "truncation": {"name": "square_center"},
+              "h": {"kind": "linear", "start": 0.6, "end": 0.8}}
+    source = {"kind": "gaussian", "width": 1.0, "window_lengths": 16.0,
+              "n": 256}
+    configs = [
+        {"mode": "synth", "medium": medium},
+        {"mode": "sweep", "medium": medium, "source": source,
+         "sweep": {"epsilons": [0.1]}},
+        {"mode": "propagate", "medium": medium, "source": source},
+        {"mode": "limits", "limits": {"kind": "multifrac", "n": 256}},
+    ]
+    for i, cfg in enumerate(configs):
+        cfg.update(output_dir=str(tmp_path / str(i)),
+                   ensemble={"n_realizations": 1})
+    code = ("import sys, lrwave, lrwave.cli\n"
+            f"for cfg in {configs!r}:\n"
+            "    assert lrwave.cli.run(cfg) == 0, cfg['mode']\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    src = str(Path(lrwave.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 def _tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
                                     / "perfbench"))

@@ -16,6 +16,32 @@ hurst = st.floats(min_value=0.02, max_value=0.98)
 hurst_lr = st.floats(min_value=0.51, max_value=0.95)
 
 
+class TestGammaPort:
+    """The numpy port of Cephes' Gamma is scipy's Gamma, bit for bit, on the
+    domain lrwave calls it on."""
+
+    def test_bitwise_scipy(self):
+        from scipy.special import gamma
+        points = [np.geomspace(1e-300, 1e-9, 10 ** 5),
+                  np.linspace(1e-9, 2.0, 10 ** 6),
+                  np.array([0.5, 1.0, 2.0, np.nextafter(1.0, 0.0),
+                            np.nextafter(2.0, 0.0), np.nextafter(1e-9, 0.0)])]
+        for x in points:
+            assert gf._gamma_fn(x).tobytes() == gamma(x).tobytes()
+
+    def test_scalar_gives_float(self):
+        from scipy.special import gamma
+        for x in (0.3, 1.5, 1e-12):
+            val = gf._gamma_fn(x)
+            assert type(val) is float and val == gamma(x)
+
+    def test_renorm_constant_bitwise(self):
+        from scipy.special import gamma
+        h = np.random.default_rng(20).uniform(0.0, 1.0, 10 ** 5)
+        want = np.pi / (h * gamma(2.0 * h) * np.sin(np.pi * h))
+        assert renorm_constant_sq(h).tobytes() == want.tobytes()
+
+
 class TestRenormConstant:
     def test_half_is_two_pi(self):
         assert renorm_constant_sq(0.5) == pytest.approx(2 * np.pi, rel=1e-12)
@@ -196,6 +222,18 @@ class TestCoupledFgn:
         assert y.shape == (300, 2)
         one = gf.synthesize_coupled_fgn([0.7], 300, seed=4)[:, 0]
         assert np.array_equal(one, synthesize_fgn(0.7, 300, seed=4).values)
+
+    def test_work_arrays_do_not_leak(self):
+        """Draws of one shape share the work arrays; an earlier draw stays
+        as drawn and equals a draw on fresh ones."""
+        levels = [0.6, 0.7, 0.8]
+        first = gf.synthesize_coupled_fgn(levels, 400, seed=1)
+        kept = first.copy()
+        gf.synthesize_coupled_fgn(levels, 400, seed=2)
+        assert first.tobytes() == kept.tobytes()
+        gf._noise_work.cache_clear()
+        fresh = gf.synthesize_coupled_fgn(levels, 400, seed=1)
+        assert fresh.tobytes() == kept.tobytes()
 
 
 class TestFieldGrid:
@@ -379,6 +417,19 @@ class TestFieldDiagonal:
         assert [a.tobytes() for a in cached] == [b.tobytes() for b in fresh]
         assert not np.array_equal(cached[0], cached[1])
 
+    def test_work_arrays_do_not_leak(self):
+        """Two draws on one depth grid share the context's work arrays; the
+        first draw's samples stay as drawn and equal a fresh context's."""
+        z = np.arange(96.0)
+        first = synthesize_field_grid([0.6, 0.8], z, seed=5)
+        kept = first.samples.copy()
+        second = synthesize_field_grid([0.7], z, seed=6)
+        assert first.samples.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first.samples, second.samples)
+        gf._spectral_context.cache_clear()
+        fresh = synthesize_field_grid([0.6, 0.8], z, seed=5)
+        assert fresh.samples.tobytes() == kept.tobytes()
+
 
 class TestSpectralWeight:
     def test_default_weight_valid(self):
@@ -396,6 +447,10 @@ class TestTrajectory:
     def test_rejects_nonuniform_grid(self):
         with pytest.raises(ConfigurationError):
             Trajectory(np.array([0.0, 1.0, 3.0]), np.zeros(3))
+
+    def test_rejects_nan_spacing(self):
+        with pytest.raises(ConfigurationError, match="uniform"):
+            Trajectory(np.array([0.0, 1.0, np.nan, 3.0]), np.zeros(4))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ConfigurationError):

@@ -89,10 +89,26 @@ class TestComposedCovariance:
         assert first.coeffs.tobytes() == again.coeffs.tobytes()
         assert hm._gauss_hermite_rule.cache_info().misses == 1
         nodes, w = hm._gauss_hermite_rule()
-        ref_nodes, ref_w = roots_hermitenorm(192)
-        assert nodes.tobytes() == ref_nodes.tobytes()
-        assert w.tobytes() == (ref_w / np.sqrt(2 * np.pi)).tobytes()
+        own_nodes, own_w = np.polynomial.hermite_e.hermegauss(192)
+        assert nodes.tobytes() == own_nodes.tobytes()
+        assert w.tobytes() == (own_w / np.sqrt(2 * np.pi)).tobytes()
         assert not nodes.flags.writeable and not w.flags.writeable
+        # numpy's rule agrees with scipy's roots_hermitenorm
+        ref_nodes, ref_w = roots_hermitenorm(192)
+        ref_w = ref_w / np.sqrt(2 * np.pi)
+        assert np.abs(nodes - ref_nodes).max() <= 1e-13
+        assert np.abs(w / ref_w - 1.0).max() <= 1e-12
+
+    def test_polynomial_coefficients_exact(self):
+        """J(1..12) of the polynomial maps against their exact values:
+        x = P_1, x^3 = P_3 + 3 P_1, x^2 - 1 = P_2, with J(k) = k! times
+        the P_k coefficient."""
+        exact = {"identity": {1: 1.0}, "cubic": {1: 3.0, 3: 6.0},
+                 "square_center": {2: 2.0}}
+        for name, nonzero in exact.items():
+            coeffs = hermite_coeffs(truncation(name)).coeffs
+            want = np.array([nonzero.get(k, 0.0) for k in range(1, 13)])
+            assert np.abs(coeffs - want).max() < 1e-11, name
 
     def test_parseval(self):
         nodes, w = roots_hermitenorm(192)

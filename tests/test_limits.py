@@ -260,6 +260,32 @@ class TestIndexLadder:
             lm.sample_field_diagonal(0.85, 2048, 0)
         assert gf._embedding_factor.cache_info().misses == 3
 
+    def test_ladder_cache_holds_workload_keys(self):
+        """A repeated profile is a hit; the cache keeps at most the four
+        keys of the limits workload (two profiles at two lengths)."""
+        lm._ladder.cache_clear()
+        fields = [np.asarray(prof(np.arange(1, n + 1) / n), dtype=float)
+                  for n in (512, 1 << 14) for prof in _figure_profiles()]
+        for h in fields:
+            lm.sample_field_diagonal(h, h.size, 0)
+        lm.sample_field_diagonal(fields[0].copy(), 512, 1)
+        info = lm._ladder.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 4, 4)
+        lm.sample_field_diagonal(np.linspace(0.6, 0.7, 64), 64, 0)
+        assert lm._ladder.cache_info().currsize == 4
+
+    def test_cached_ladder_does_not_leak(self):
+        """Two paths of one profile share the cached ladder; the first
+        path stays as drawn and equals a path drawn on an empty cache."""
+        prof = _figure_profiles()[1]
+        first = lm.simulate_sh(prof, 1024, seed=(3, 0))
+        kept = first.values.copy()
+        lm.simulate_sh(prof, 1024, seed=(3, 1))
+        assert first.values.tobytes() == kept.tobytes()
+        lm._ladder.cache_clear()
+        fresh = lm.simulate_sh(prof, 1024, seed=(3, 0))
+        assert fresh.values.tobytes() == kept.tobytes()
+
 
 class TestRankKNormalization:
     def test_hoisted_constants_bit_identical(self):
