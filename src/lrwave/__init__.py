@@ -25,7 +25,7 @@ from .medium import (A2Report, A3Report, MediumRealization, MediumSpec,
                      constant_profile, linear_profile, periodic_profile,
                      profile_from_config, v_triple, white_medium)
 from .propagator import (FrequencyGrid, PropagatorState, TransmissionSpectrum,
-                         propagate, spectrum, transmission)
+                         propagate, spectra, spectrum, transmission)
 from .pulse import (PulseDistance, PulseTrace, SourcePulse, gaussian_source,
                     pulse_distance, pulse_width, reflected_pulse,
                     ricker_source, theory_longrange, theory_shortrange,

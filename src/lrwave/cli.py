@@ -41,39 +41,43 @@ def _source_band(source, tol=1e-16):
     return power > tol * power.max()
 
 
-def _realization(cfg, epsilon, index, source):
-    """Medium -> spectrum over the source band -> transmitted pulse for one
-    realization; returns (spectrum, pulse, record)."""
+def _realizations(cfg, epsilon, indices, source):
+    """Media -> spectra over the source band -> transmitted pulses for the
+    realizations ``indices`` at one epsilon; yields (spectrum, pulse, record)
+    per index, in order.  The media share one slab grid, so their spectra
+    come from one batched ``spectra`` call."""
     from .medium import build_medium, v_triple
-    from .propagator import spectrum
+    from .propagator import spectra
     from .pulse import (PulseTrace, pulse_distance, pulse_width,
                         transmitted_pulse)
 
-    real = build_medium(cfg.medium.to_spec(seed=(cfg.seed, index),
-                                           epsilon=epsilon))
-    tspec = spectrum(real, source.grid, active=_source_band(source))
-    trace = transmitted_pulse(tspec, source)
+    reals = [build_medium(cfg.medium.to_spec(seed=(cfg.seed, i),
+                                             epsilon=epsilon))
+             for i in indices]
     ref = PulseTrace(s_grid=source.s_grid, values=source.values)
-    dist = pulse_distance(ref, trace)
-    v1 = v_triple(real, 0.0).v1
-    record = {
-        "epsilon": float(epsilon),
-        "index": int(index),
-        "l2": dist.l2,
-        "sup": dist.sup,
-        "best_shift": dist.best_shift,
-        "v1_half": float(0.5 * v1.values[-1]),
-        # main-lobe width: the raw window moment is dominated by the coda
-        "width_ratio": (pulse_width(trace, lobe_floor=0.02)
-                        / pulse_width(ref, lobe_floor=0.02)),
-        "conservation_defect": tspec.conservation_defect(),
-    }
-    return tspec, trace, record
+    ref_width = pulse_width(ref, lobe_floor=0.02)
+    for index, real, tspec in zip(indices, reals, spectra(
+            reals, source.grid, active=_source_band(source))):
+        trace = transmitted_pulse(tspec, source)
+        dist = pulse_distance(ref, trace)
+        v1 = v_triple(real, 0.0).v1
+        record = {
+            "epsilon": float(epsilon),
+            "index": int(index),
+            "l2": dist.l2,
+            "sup": dist.sup,
+            "best_shift": dist.best_shift,
+            "v1_half": float(0.5 * v1.values[-1]),
+            # main-lobe width: the raw window moment is dominated by the coda
+            "width_ratio": pulse_width(trace, lobe_floor=0.02) / ref_width,
+            "conservation_defect": tspec.conservation_defect(),
+        }
+        yield tspec, trace, record
 
 
-def _propagate_one(args):
-    cfg, epsilon, index, source = args
-    return _realization(cfg, epsilon, index, source)[2]
+def _sweep_records(args):
+    """Records of one contiguous chunk of an epsilon's realizations."""
+    return [record for _, _, record in _realizations(*args)]
 
 
 def _map_indexed(fn, items, jobs):
@@ -82,7 +86,7 @@ def _map_indexed(fn, items, jobs):
     # imported here: it loads multiprocessing, which the serial path skips
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
@@ -108,8 +112,9 @@ def _run_propagate(cfg: ExperimentConfig, out, artifacts):
 
     source = cfg.source.build()
     records = []
-    for i in range(cfg.ensemble.n_realizations):
-        tspec, trace, record = _realization(cfg, cfg.medium.epsilon, i, source)
+    for i, (tspec, trace, record) in enumerate(_realizations(
+            cfg, cfg.medium.epsilon, range(cfg.ensemble.n_realizations),
+            source)):
         artifacts.append(write_spectrum(out / f"spectrum_{i:04d}.csv", tspec))
         artifacts.append(write_pulse(out / f"transmitted_{i:04d}.csv", trace))
         artifacts.append(write_pulse(out / f"reflected_{i:04d}.csv",
@@ -124,9 +129,12 @@ def _run_sweep(cfg: ExperimentConfig, out, artifacts):
     cells = []
     all_records = []
     for eps in cfg.sweep.epsilons:
-        items = [(cfg, eps, i, source)
-                 for i in range(cfg.ensemble.n_realizations)]
-        records = _map_indexed(_propagate_one, items, cfg.jobs)
+        # one contiguous chunk of realizations per worker, in index order
+        n_real = cfg.ensemble.n_realizations
+        chunks = np.array_split(np.arange(n_real), min(cfg.jobs, n_real))
+        records = [record for part in _map_indexed(
+            _sweep_records, [(cfg, eps, c.tolist(), source) for c in chunks],
+            cfg.jobs) for record in part]
         all_records.extend(records)
         l2 = np.array([r["l2"] for r in records])
         widths = np.array([r["width_ratio"] for r in records])

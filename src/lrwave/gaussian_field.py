@@ -551,11 +551,12 @@ def _field_columns(h_values, z, ctx, nfold):
     fine = ctx.fine_phases(z)
     n_uni = ctx.x.size - nf
     buf = np.zeros((n_uni + nfold) // nfold * nfold + nfold, dtype=complex)
+    norms = renorm_constant(np.asarray(h_values))
     for i, h in enumerate(h_values):
         # c = base * |x|^(1/2 - h) / c(h)
         power = np.multiply(ctx.logx, 0.5 - h, out=ctx.power)
         np.exp(power, out=power)
-        power /= renorm_constant(h)
+        power /= norms[i]
         c = np.multiply(base, power, out=ctx.c)
         # uniform nodes sit at x = (k + 1/2) dx, k >= 1: slot k = 0 is empty
         buf[:] = 0.0

@@ -12,10 +12,14 @@ det P_step = 1 identically.  Each step has the SU(1,1) form [[a, conj(b)],
 [b, conj(a)]], a = 1 + c, b = c e^{i phi}, c = i w nu dz / 2, and so does
 every product, so only its first column (alpha, beta) is tracked.
 
-The product is associative: one kernel, shared by ``propagate`` and
-``spectrum``, reduces fixed-size blocks of steps as pairwise trees over a
-steps x frequencies array and applies the blocks in depth order.  Negative
-frequencies in a spectrum mirror by conjugation (the medium is real).
+The product is associative: one kernel, shared by ``propagate``,
+``spectrum`` and ``spectra``, reduces fixed-size blocks of steps as pairwise
+trees over a steps x realizations x frequencies array and applies the blocks
+in depth order.  The sub-step bins and the phase factors e^{i phi} depend on
+the frequency, the slab grid and eps^tau, not on the medium, so an ensemble
+at one eps shares them: ``spectra`` computes each block's phases once for all
+its realizations.  Negative frequencies in a spectrum mirror by conjugation
+(the medium is real).
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ __all__ = [
     "propagate",
     "transmission",
     "spectrum",
+    "spectra",
 ]
 
 # largest phase increment omega * dz / eps^tau of a sub-step
@@ -41,6 +46,9 @@ MAX_PHASE_STEP = np.pi / 8.0
 # steps per tree-reduced block; fixed, so that a frequency's result does not
 # depend on which other frequencies share its sub-step bin
 _BLOCK = 256
+# (realization, frequency) lanes of one block tree; bounds the tree's
+# temporaries to _BLOCK x _LANES complex entries whatever the ensemble size
+_LANES = 64
 
 
 @dataclass(frozen=True)
@@ -119,33 +127,50 @@ def _drift(alpha, beta):
 def _slab_product(omegas, nu, z_left, dz, eps_tau, n_sub):
     """(alpha, beta, drift) of the product of every sub-step matrix, all
     frequencies in one n_sub bin at once; raises ``StateError`` on a
-    corrupted product.
+    corrupted product.  ``nu`` of shape (slabs, R) holds R realizations on
+    the same slabs: the results then gain a leading realization axis, and the
+    error names the first corrupted realization.
 
     A block of ``_BLOCK`` steps is reduced as a pairwise tree, the later
-    step on the left; the blocks then act on the state in depth order.
+    step on the left; the blocks then act on the state in depth order.  A
+    block's phase factors depend on depth and frequency only, so they are
+    computed once for every realization; its trees run over chunks of
+    realizations of at most ``_LANES`` (realization, frequency) lanes.
     """
+    lanes = nu.reshape(nu.shape[0], -1)
+    n_real, n_freq = lanes.shape[1], omegas.size
     sub = dz / n_sub
     offs = (np.arange(n_sub) + 0.5) * sub
     scaled = 2.0 * (z_left[:, None] + offs[None, :]).ravel() / eps_tau
-    nu_rep = np.repeat(nu, n_sub)
+    nu_rep = np.repeat(lanes, n_sub, axis=0)
     half_c = 0.5j * sub * omegas
-    alpha, beta = np.ones(omegas.size, complex), np.zeros(omegas.size, complex)
+    chunk = max(1, _LANES // n_freq)
+    alpha = np.ones((n_real, n_freq), complex)
+    beta = np.zeros((n_real, n_freq), complex)
     for lo in range(0, scaled.size, _BLOCK):
-        c = np.outer(nu_rep[lo:lo + _BLOCK], half_c)
-        a = 1.0 + c
-        b = c * np.exp(1j * np.outer(scaled[lo:lo + _BLOCK], omegas))
-        while a.shape[0] > 1:
-            if a.shape[0] % 2:  # pad with the identity step
-                a = np.concatenate([a, np.ones_like(a[:1])])
-                b = np.concatenate([b, np.zeros_like(b[:1])])
-            a, b = (a[1::2] * a[::2] + np.conj(b[1::2]) * b[::2],
-                    b[1::2] * a[::2] + np.conj(a[1::2]) * b[::2])
-        alpha, beta = (a[0] * alpha + np.conj(b[0]) * beta,
-                       b[0] * alpha + np.conj(a[0]) * beta)
-    drift = float(np.max(_drift(alpha, beta)))
-    if not (np.all(np.abs(alpha) >= 1.0 - 1e-9) and drift <= 1e-6):
-        raise StateError(f"corrupted propagator product: |alpha| < 1 or "
-                         f"determinant drift {drift:.2e} exceeds 1e-6")
+        phase = np.exp(1j * np.outer(scaled[lo:lo + _BLOCK], omegas))[:, None]
+        for r in range(0, n_real, chunk):
+            c = nu_rep[lo:lo + _BLOCK, r:r + chunk, None] * half_c
+            a = 1.0 + c
+            b = c * phase
+            while a.shape[0] > 1:
+                if a.shape[0] % 2:  # pad with the identity step
+                    a = np.concatenate([a, np.ones_like(a[:1])])
+                    b = np.concatenate([b, np.zeros_like(b[:1])])
+                a, b = (a[1::2] * a[::2] + np.conj(b[1::2]) * b[::2],
+                        b[1::2] * a[::2] + np.conj(a[1::2]) * b[::2])
+            al, be = alpha[r:r + chunk], beta[r:r + chunk]
+            alpha[r:r + chunk], beta[r:r + chunk] = (
+                a[0] * al + np.conj(b[0]) * be, b[0] * al + np.conj(a[0]) * be)
+    drift = np.max(_drift(alpha, beta), axis=1)
+    bad = ~(np.all(np.abs(alpha) >= 1.0 - 1e-9, axis=1) & (drift <= 1e-6))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise StateError(f"corrupted propagator product in realization {i}: "
+                         f"|alpha| < 1 or determinant drift {drift[i]:.2e} "
+                         "exceeds 1e-6")
+    if nu.ndim == 1:
+        return alpha[0], beta[0], float(drift[0])
     return alpha, beta, drift
 
 
@@ -174,15 +199,28 @@ def transmission(state: PropagatorState):
     return complex(1.0 / conj_alpha), complex(state.beta / conj_alpha)
 
 
-def spectrum(real: MediumRealization, grid: FrequencyGrid, *,
-             active: np.ndarray | None = None) -> TransmissionSpectrum:
-    """Transmission/reflection over a Hermitian grid for one realization.
+def spectra(reals, grid: FrequencyGrid, *, active: np.ndarray | None = None):
+    """Transmission/reflection over a Hermitian grid for an ensemble of media
+    that share ``z_grid``, ``epsilon`` and ``tau``: yields one
+    ``TransmissionSpectrum`` per medium, in order.
 
     Only nonnegative frequencies are integrated; negative ones mirror by
     conjugation.  ``active`` (boolean, FFT order) restricts propagation to
     frequencies that matter for a given source; inactive entries stay at the
-    transparent values (T, R) = (1, 0).
+    transparent values (T, R) = (1, 0).  The sub-step bins depend on the
+    grid and eps^tau, not on the medium, so each bin is one slab product
+    over the whole ensemble; only the propagated band is held for all media,
+    and each spectrum is expanded to the full grid as it is consumed.
     """
+    reals = list(reals)
+    if not reals:
+        return
+    first = reals[0]
+    for real in reals[1:]:
+        if not (real.epsilon == first.epsilon and real.tau == first.tau
+                and np.array_equal(real.z_grid, first.z_grid)):
+            raise ConfigurationError(
+                "an ensemble's media must share z_grid, epsilon and tau")
     w = grid.omegas
     n = w.size
     if active is not None:
@@ -197,32 +235,44 @@ def spectrum(real: MediumRealization, grid: FrequencyGrid, *,
     else:
         need = np.ones(n, dtype=bool)
 
-    eps_tau = real.epsilon ** real.tau
-    t_arr = np.ones(n, dtype=complex)
-    r_arr = np.zeros(n, dtype=complex)
-    drift = 0.0
-
+    eps_tau = first.epsilon ** first.tau
     # nonnegative frequencies, plus the unpaired Nyquist entry of an even
     # grid (it has no mirror partner), all integrated at |w|
     idx = np.nonzero(need & (w >= 0.0))[0]
     if n % 2 == 0 and need[n // 2]:
         idx = np.append(idx, n // 2)
+    t_band = np.empty((len(reals), idx.size), dtype=complex)
+    r_band = np.empty_like(t_band)
+    drift = np.zeros(len(reals))
     if idx.size:
-        n_subs = np.array([_substeps(w[i], real.dz, eps_tau) for i in idx])
+        nu = np.stack([real.nu_eps for real in reals], axis=1)
+        n_subs = np.array([_substeps(w[i], first.dz, eps_tau) for i in idx])
         for ns in np.unique(n_subs):
-            sel = idx[n_subs == ns]
+            sel = n_subs == ns
             alpha, beta, bin_drift = _slab_product(
-                np.abs(w[sel]), real.nu_eps, real.z_grid[:-1], real.dz,
+                np.abs(w[idx[sel]]), nu, first.z_grid[:-1], first.dz,
                 eps_tau, int(ns))
-            drift = max(drift, bin_drift)
-            t_arr[sel] = 1.0 / np.conj(alpha)
-            r_arr[sel] = beta / np.conj(alpha)
+            drift = np.maximum(drift, bin_drift)
+            t_band[:, sel] = 1.0 / np.conj(alpha)
+            r_band[:, sel] = beta / np.conj(alpha)
 
     # mirror to negative frequencies: real medium => conjugate symmetry
     k = np.arange(1, (n + 1) // 2)
     neg = n - k
-    t_arr[neg] = np.conj(t_arr[k])
-    r_arr[neg] = np.conj(r_arr[k])
+    for j in range(len(reals)):
+        t_arr = np.ones(n, dtype=complex)
+        r_arr = np.zeros(n, dtype=complex)
+        t_arr[idx] = t_band[j]
+        r_arr[idx] = r_band[j]
+        t_arr[neg] = np.conj(t_arr[k])
+        r_arr[neg] = np.conj(r_arr[k])
+        yield TransmissionSpectrum(grid=grid, T=t_arr, R=r_arr,
+                                   det_drift=float(drift[j]),
+                                   active=None if active is None else need)
 
-    return TransmissionSpectrum(grid=grid, T=t_arr, R=r_arr, det_drift=drift,
-                                active=None if active is None else need)
+
+def spectrum(real: MediumRealization, grid: FrequencyGrid, *,
+             active: np.ndarray | None = None) -> TransmissionSpectrum:
+    """Transmission/reflection over a Hermitian grid for one realization:
+    :func:`spectra` of a one-medium ensemble."""
+    return next(spectra([real], grid, active=active))

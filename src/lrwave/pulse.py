@@ -225,16 +225,15 @@ def pulse_width(trace: PulseTrace, *, lobe_floor=0.0) -> float:
     pos = np.clip(trace.values, 0.0, None)
     if lobe_floor > 0.0:
         peak = int(np.argmax(pos))
-        above = pos > lobe_floor * pos[peak]
-        lo = peak
-        while lo > 0 and above[lo - 1]:
-            lo -= 1
-        hi = peak
-        while hi < pos.size - 1 and above[hi + 1]:
-            hi += 1
-        mask = np.zeros_like(above)
-        mask[lo:hi + 1] = True
-        pos = np.where(mask, pos, 0.0)
+        # the lobe ends at the nearest samples on either side of the peak
+        # that do not exceed the floor
+        below = np.flatnonzero(~(pos > lobe_floor * pos[peak]))
+        left, right = np.searchsorted(below, [peak, peak + 1])
+        lo = below[left - 1] + 1 if left else 0
+        hi = below[right] if right < below.size else pos.size
+        lobe = np.zeros_like(pos)
+        lobe[lo:hi] = pos[lo:hi]
+        pos = lobe
     mass = pos.sum()
     if mass <= 0:
         raise ConfigurationError("trace has no positive mass")

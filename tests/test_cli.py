@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -176,6 +177,13 @@ class TestRun:
     def test_parallel_jobs_match_serial(self, tmp_path):
         assert run(tiny_sweep_config(tmp_path / "serial", jobs=1)) == 0
         assert run(tiny_sweep_config(tmp_path / "par", jobs=2)) == 0
+        r1 = json.loads((tmp_path / "serial" / "records.json").read_text())
+        r2 = json.loads((tmp_path / "par" / "records.json").read_text())
+        assert r1 == r2
+
+    def test_more_jobs_than_realizations_match_serial(self, tmp_path):
+        assert run(tiny_sweep_config(tmp_path / "serial", jobs=1)) == 0
+        assert run(tiny_sweep_config(tmp_path / "par", jobs=4)) == 0
         r1 = json.loads((tmp_path / "serial" / "records.json").read_text())
         r2 = json.loads((tmp_path / "par" / "records.json").read_text())
         assert r1 == r2
@@ -365,6 +373,39 @@ class TestRun:
         assert len(records) == 2
         assert (tmp_path / "transmitted_0001.csv").exists()
         assert (tmp_path / "spectrum_0000.csv").exists()
+
+
+    def test_propagate_matches_per_realization_loop(self, tmp_path):
+        """The batched ensemble writes the bytes of one spectrum call and
+        one set of writers per realization."""
+        from lrwave.cli import _source_band
+        from lrwave.medium import build_medium
+        from lrwave.propagator import spectrum
+        from lrwave.pulse import reflected_pulse, transmitted_pulse
+        from lrwave.serialize import write_pulse, write_spectrum
+
+        cfg = {"mode": "propagate", "seed": 11,
+               "output_dir": str(tmp_path / "run"),
+               "medium": {"epsilon": 0.1, "truncation": {"name": "cubic"}},
+               "source": {"n": 512}, "ensemble": {"n_realizations": 3}}
+        assert run(cfg) == 0
+        manifest = json.loads(
+            (tmp_path / "run" / "run_manifest.json").read_text())
+        digests = {e["path"]: e["sha256"] for e in manifest["artifacts"]}
+        parsed = ExperimentConfig.from_dict(cfg)
+        source = parsed.source.build()
+        ref = tmp_path / "ref"
+        for i in range(3):
+            real = build_medium(parsed.medium.to_spec(seed=(11, i)))
+            tspec = spectrum(real, source.grid, active=_source_band(source))
+            for path in (
+                    write_spectrum(ref / f"spectrum_{i:04d}.csv", tspec),
+                    write_pulse(ref / f"transmitted_{i:04d}.csv",
+                                transmitted_pulse(tspec, source)),
+                    write_pulse(ref / f"reflected_{i:04d}.csv",
+                                reflected_pulse(tspec, source))):
+                assert digests[path.name] == hashlib.sha256(
+                    path.read_bytes()).hexdigest()
 
 
 class TestMain:

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrwave import (ConfigurationError, FrequencyGrid, MediumSpec, StateError,
-                    build_medium, constant_profile, propagate, spectrum,
-                    transmission, v_triple)
-from lrwave.propagator import (_BLOCK, MAX_PHASE_STEP, PropagatorState,
-                               _slab_product, _substeps)
+                    build_medium, constant_profile, propagate, spectra,
+                    spectrum, transmission, v_triple)
+from lrwave.propagator import (_BLOCK, _LANES, MAX_PHASE_STEP,
+                               PropagatorState, _slab_product, _substeps)
 
 
 @pytest.fixture(scope="module")
@@ -213,3 +213,49 @@ class TestSlabProduct:
             spectrum(bad, FrequencyGrid.for_window(128, 0.125))
         with pytest.raises(StateError):
             propagate(bad, 1.0)
+
+
+class TestSpectra:
+    """An ensemble's batched slab product against one medium at a time."""
+
+    @pytest.fixture(scope="class")
+    def ensemble(self, medium):
+        base = n_slabs(medium, _BLOCK + 1)
+        return [replace(base, nu_eps=np.roll(base.nu_eps, 37 * j))
+                for j in range(5)]
+
+    def test_lane_invariant(self, ensemble):
+        grid = FrequencyGrid.for_window(256, 0.125)
+        real = ensemble[0]
+        eps_tau = real.epsilon ** real.tau
+        _, per_bin = np.unique([_substeps(w, real.dz, eps_tau)
+                                for w in grid.omegas if w >= 0.0],
+                               return_counts=True)
+        # the largest bin runs as several chunks of several realizations
+        assert len(ensemble) * per_bin.max() > _LANES
+        assert _LANES // per_bin.max() > 1
+        active = np.abs(grid.omegas) < 20.0
+        for act in (None, active):
+            batch = list(spectra(ensemble, grid, active=act))
+            assert len(batch) == len(ensemble)
+            for real, sp in zip(ensemble, batch):
+                alone = spectrum(real, grid, active=act)
+                assert np.array_equal(sp.T, alone.T)
+                assert np.array_equal(sp.R, alone.R)
+                assert sp.det_drift == alone.det_drift
+                assert np.array_equal(sp.active, alone.active)
+
+    def test_corrupted_realization_named(self, ensemble):
+        bad = list(ensemble)
+        bad[3] = replace(bad[3], nu_eps=np.where(
+            np.arange(bad[3].n_slabs) == 7, np.nan, bad[3].nu_eps))
+        with pytest.raises(StateError, match="realization 3"):
+            list(spectra(bad, FrequencyGrid.for_window(128, 0.125)))
+
+    @pytest.mark.parametrize("field", ["epsilon", "tau", "z_grid"])
+    def test_mixed_media_rejected(self, ensemble, field):
+        other = {"epsilon": 0.05, "tau": 0.5,
+                 "z_grid": ensemble[1].z_grid + ensemble[1].dz}[field]
+        mixed = [ensemble[0], replace(ensemble[1], **{field: other})]
+        with pytest.raises(ConfigurationError):
+            list(spectra(mixed, FrequencyGrid.for_window(128, 0.125)))

@@ -164,6 +164,36 @@ class TestPulseWidth:
         assert pulse_width(tr, lobe_floor=0.05) == pytest.approx(
             pulse_width(clean, lobe_floor=0.05), abs=1e-3)
 
+    @pytest.mark.parametrize("values, lobe_floor", [
+        ([5.0, 4.0, 0.1, 3.0, 0.0], 0.5),              # peak at sample 0
+        ([0.0, 3.0, 0.1, 4.0, 5.0], 0.5),              # peak at sample n - 1
+        ([2.0, 3.0, 5.0, 4.0, 1.0], 0.1),              # every sample above
+        ([1.0, 0.0, 5.0, 0.2, 4.0, 0.0, 3.0], 0.0),    # no floor
+        ([1.0, 0.0, 5.0, 0.2, 4.0, 0.0, 3.0], 0.04),   # lobe past a dip
+        ([1.0, 2.0, 5.0, 0.5, 4.0, -1.0, 3.0], 0.1),   # negative part
+        ([1.0, 2.0, 5.0, 2.0, 1.0], 1.0),              # floor at the peak
+    ])
+    def test_lobe_matches_sample_walk(self, values, lobe_floor):
+        """The main lobe equals the one found by walking from the peak
+        sample by sample while the trace stays above the floor."""
+        tr = PulseTrace(np.linspace(-1.0, 1.0, len(values)),
+                        np.array(values))
+        pos = np.clip(tr.values, 0.0, None)
+        if lobe_floor > 0.0:
+            peak = int(np.argmax(pos))
+            above = pos > lobe_floor * pos[peak]
+            lo = hi = peak
+            while lo > 0 and above[lo - 1]:
+                lo -= 1
+            while hi < pos.size - 1 and above[hi + 1]:
+                hi += 1
+            pos = np.where((np.arange(pos.size) >= lo)
+                           & (np.arange(pos.size) <= hi), pos, 0.0)
+        mean = np.dot(tr.s_grid, pos) / pos.sum()
+        walked = float(np.sqrt(np.dot((tr.s_grid - mean) ** 2, pos)
+                               / pos.sum()))
+        assert pulse_width(tr, lobe_floor=lobe_floor) == walked
+
     def test_longrange_width_nearly_preserved(self, source):
         """Transmitted main-lobe width changes below 5% at eps = 0.025."""
         from lrwave import MediumSpec, build_medium, constant_profile, spectrum
