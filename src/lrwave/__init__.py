@@ -21,9 +21,10 @@ from .hermite import (HermiteSpec, Truncation, composed_covariance,
 from .limits import (hermite_covariance, sh_covariance, simulate,
                      simulate_hermite, simulate_sh)
 from .medium import (A2Report, A3Report, MediumRealization, MediumSpec,
-                     VTriple, build_medium, check_a2, check_a3,
-                     constant_profile, linear_profile, periodic_profile,
-                     profile_from_config, v_triple, white_medium)
+                     VTriple, build_media, build_medium, check_a2,
+                     check_a3, constant_profile, linear_profile,
+                     periodic_profile, profile_from_config, v_triple,
+                     white_medium)
 from .propagator import (FrequencyGrid, PropagatorState, TransmissionSpectrum,
                          propagate, spectra, spectrum, transmission)
 from .pulse import (PulseDistance, PulseTrace, SourcePulse, gaussian_source,

@@ -70,6 +70,12 @@ _CLIP_TOL = 1e-3
 _EIGH_BLOCK = 1024
 # levels of the index ladder that carries a field along a varying profile
 _LADDER_LEVELS = 9
+# padded nodes of the seeds whose noise one synthesis pass holds while it
+# runs through the levels: bounds those work arrays whatever the ensemble
+# size (two seeds at eps = 0.05, one from eps = 0.04 down)
+_FOLD_NODES = 1 << 17
+# index sets whose column variances a spectral context keeps
+_STATS_ENTRIES = 4
 # the rational approximation of Gamma on [2, 3] in Cephes (Moshier 1989):
 # numerator and denominator, highest power first
 _GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3,
@@ -471,8 +477,8 @@ def synthesize_fgn(h, n, seed) -> Trajectory:
 # --------------------------------------------------------------------------
 
 class _SpectralContext:
-    """Noise-independent node data for one frequency grid, and the per-node
-    work arrays that each synthesis on the grid overwrites.
+    """Noise-independent node data for one frequency grid, and the work
+    arrays that each synthesis on the grid overwrites.
 
     Building the nodes and evaluating psi on two million of them dominates
     the cost of a single synthesis call, so ensemble generation reuses the
@@ -491,12 +497,7 @@ class _SpectralContext:
         self._stats = {}
         self._fine_phases = None
         self._origin_shift = None
-        k = self.x.size
-        self.normals = np.empty(2 * k)
-        self.noise = np.empty(k, dtype=complex)
-        self.base = np.empty(k, dtype=complex)
-        self.c = np.empty(k, dtype=complex)
-        self.power = np.empty(k)
+        self._layout = None
 
     def origin_shift(self, z0):
         """exp(-i z0 x_k) over all nodes, cached per grid origin z0 (one
@@ -523,59 +524,106 @@ class _SpectralContext:
             self._fine_phases = (key, mat)
         return self._fine_phases[1]
 
+    def fold_layout(self, nfold):
+        """(logx, bases, power, prod): the padded node layout of a fold of
+        length ``nfold`` and its work arrays, cached for one fold length.  A
+        layout row holds the refined nodes, then the fold's rows: slot 0
+        empty, the uniform nodes, zeros up to a whole extra row.  ``logx``
+        is log x in that layout (0 in the empty slots); ``bases`` holds the
+        noise times psi of up to _FOLD_NODES / width seeds (never written
+        outside the node slots); ``power`` a level's |x|^(1/2 - H) / c(H);
+        ``prod`` a base times that power.  Before it takes a product, the
+        float view of ``prod`` holds a seed's normals."""
+        if self._layout is None or self._layout[0] != nfold:
+            nf = self.grid_spec.n_fine
+            n_uni = self.x.size - nf
+            width = nf + ((n_uni + nfold) // nfold + 1) * nfold
+            logx = np.zeros(width)
+            logx[:nf] = self.logx[:nf]
+            logx[nf + 1:nf + 1 + n_uni] = self.logx[nf:]
+            lanes = max(1, _FOLD_NODES // width)
+            self._layout = (nfold, logx,
+                            np.zeros((lanes, width), dtype=complex),
+                            np.empty(width), np.empty(width, dtype=complex))
+        return self._layout[1:]
+
     def column_variance(self, h_values):
-        """Exact variances of the discretized field's columns."""
+        """Exact variances of the discretized field's columns, cached for
+        the last _STATS_ENTRIES index sets."""
         key = tuple(round(float(h), 12) for h in h_values)
-        if key not in self._stats:
+        stats = self._stats
+        if key in stats:
+            stats[key] = stats.pop(key)          # most recent last
+        else:
+            if len(stats) >= _STATS_ENTRIES:
+                del stats[next(iter(stats))]
             hs = np.asarray(h_values, dtype=float)
-            self._stats[key] = np.array([
+            stats[key] = np.array([
                 2.0 * np.dot(self.a2w, np.exp((1.0 - 2.0 * h) * self.logx))
                 for h in hs]) / renorm_constant(hs) ** 2
-        return self._stats[key]
+        return stats[key]
 
 
 _spectral_context = functools.lru_cache(maxsize=2)(_SpectralContext)
 
 
-def _field_columns(h_values, z, ctx, nfold):
-    """Evaluate m(z_j, H_i) = 2 Re sum_k g_k(H_i) dB_k exp(-i z_j x_k) for the
-    noise dB in ``ctx.noise``: the uniform nodes by one FFT of length
-    ``nfold``, the refined ones by a direct product."""
+def _field_columns(h_values, z, ctx, nfold, seeds):
+    """Evaluate m(z_j, H_i) = 2 Re sum_k g_k(H_i) dB_k exp(-i z_j x_k), with
+    dB drawn from each seed's own stream: shape (len(seeds), z.size,
+    len(h_values)).  The uniform nodes are summed by one FFT of length
+    ``nfold``, the refined ones by a direct complex64 product per seed and
+    level.
+
+    The seeds run in chunks of the fold layout's ``bases`` rows; within a
+    chunk each level's power is computed once and scales every seed's base.
+    """
     nf = ctx.grid_spec.n_fine
-    out = np.empty((z.size, len(h_values)))
-    base = np.multiply(ctx.noise, ctx.psix, out=ctx.base)
-    if z[0] != 0.0:
-        np.multiply(ctx.origin_shift(z[0]), base, out=base)
-    j = np.arange(z.size)
-    twiddle = np.exp(-1j * np.pi * j / nfold)
+    k = ctx.x.size
+    # (layout slots, nodes) of the refined and of the uniform nodes
+    parts = ((slice(0, nf), slice(0, nf)),
+             (slice(nf + 1, k + 1), slice(nf, k)))
+    logx, bases, power, prod = ctx.fold_layout(nfold)
+    # the product's float view is free until the product is taken
+    g = prod.view(float)[:2 * k]
+    shw, psix = ctx.sqrt_half_widths, ctx.psix
+    shift = ctx.origin_shift(z[0]) if z[0] != 0.0 else None
+    twiddle = np.exp(-1j * np.pi * np.arange(z.size) / nfold)
     fine = ctx.fine_phases(z)
-    n_uni = ctx.x.size - nf
-    buf = np.zeros((n_uni + nfold) // nfold * nfold + nfold, dtype=complex)
     norms = renorm_constant(np.asarray(h_values))
-    for i, h in enumerate(h_values):
-        # c = base * |x|^(1/2 - h) / c(h)
-        power = np.multiply(ctx.logx, 0.5 - h, out=ctx.power)
-        np.exp(power, out=power)
-        power /= norms[i]
-        c = np.multiply(base, power, out=ctx.c)
-        # uniform nodes sit at x = (k + 1/2) dx, k >= 1: slot k = 0 is empty
-        buf[:] = 0.0
-        buf[1:1 + n_uni] = c[nf:]
-        folded = buf.reshape(-1, nfold).sum(axis=0)
-        s = np.fft.fft(folded)[:z.size] * twiddle
-        s += fine @ c[:nf].astype(np.complex64)
-        out[:, i] = 2.0 * s.real
+    out = np.empty((len(seeds), z.size, len(h_values)))
+    fold = prod[nf:].reshape(-1, nfold)
+    for lo in range(0, len(seeds), len(bases)):
+        chunk = seeds[lo:lo + len(bases)]
+        for base, seed in zip(bases, chunk):
+            np.random.default_rng(seed).standard_normal(out=g)
+            # dB = (g[:k] + i g[k:]) sqrt(widths / 2), times psi, times the
+            # origin phase: refined and uniform nodes apart, one part at a time
+            for slots, nodes in parts:
+                dst = base[slots]
+                np.multiply(g[nodes], shw[nodes], out=dst.real)
+                np.multiply(g[k:][nodes], shw[nodes], out=dst.imag)
+                np.multiply(dst, psix[nodes], out=dst)
+                if shift is not None:
+                    np.multiply(shift[nodes], dst, out=dst)
+        for i, h in enumerate(h_values):
+            # |x|^(1/2 - h) / c(h), shared by the chunk's seeds
+            np.multiply(logx, 0.5 - h, out=power)
+            np.exp(power, out=power)
+            power /= norms[i]
+            for s, base in enumerate(bases[:len(chunk)]):
+                # the real power scales each part: no complex cast
+                np.multiply(base.real, power, out=prod.real)
+                np.multiply(base.imag, power, out=prod.imag)
+                col = np.fft.fft(fold.sum(axis=0))[:z.size] * twiddle
+                col += fine @ prod[:nf].astype(np.complex64)
+                out[lo + s, :, i] = 2.0 * col.real
     return out
 
 
-def synthesize_field_grid(h_values, z_grid, *, seed=0) -> FieldGrid:
-    """Sample the coupled field m(z_j, H_i) for several indices at once.
-
-    All columns are driven by one Hermitian complex Gaussian noise on the
-    frequency grid :meth:`FrequencyGridSpec.for_grid`, so they are perfectly
-    coupled: requesting the same index twice returns identical samples.
-    Each column's discretized variance is checked against 1 within 2%.
-    """
+def _field_samples(h_values, z_grid, seeds):
+    """(z, indices, grid spec, column variances, samples) of the coupled
+    field for each seed; ``samples[s]`` is what :func:`synthesize_field_grid`
+    returns for seeds[s]."""
     z = np.asarray(z_grid, dtype=float)
     if z.ndim != 1 or z.size < 1:
         raise ConfigurationError("need a one-dimensional depth grid")
@@ -591,13 +639,6 @@ def synthesize_field_grid(h_values, z_grid, *, seed=0) -> FieldGrid:
              int(round(2.0 * np.pi / (float(z[1] - z[0]) * grid_spec.dx))))
 
     ctx = _spectral_context(grid_spec)
-    k = ctx.x.size
-    g = np.random.default_rng(seed).standard_normal(out=ctx.normals)
-    # dB = (g[:k] + i g[k:]) sqrt(widths / 2), one part at a time
-    np.multiply(g[:k], ctx.sqrt_half_widths, out=ctx.noise.real)
-    np.multiply(g[k:], ctx.sqrt_half_widths, out=ctx.noise.imag)
-
-    samples = _field_columns(hs, z, ctx, nfold)
     var = ctx.column_variance(hs)
     dev = np.abs(var - 1.0)
     if np.any(dev > _VAR_TOL):
@@ -606,7 +647,20 @@ def synthesize_field_grid(h_values, z_grid, *, seed=0) -> FieldGrid:
             f"discretized column variance off by {dev[i]:.3%} "
             f"(> {_VAR_TOL:.1%}) at field index {hs[i]:.4g}: the spectral "
             "grid cannot resolve indices this close to 1")
-    return FieldGrid(z_grid=z, h_values=np.asarray(hs), samples=samples,
+    samples = _field_columns(hs, z, ctx, nfold, list(seeds))
+    return z, np.asarray(hs), grid_spec, var, samples
+
+
+def synthesize_field_grid(h_values, z_grid, *, seed=0) -> FieldGrid:
+    """Sample the coupled field m(z_j, H_i) for several indices at once.
+
+    All columns are driven by one Hermitian complex Gaussian noise on the
+    frequency grid :meth:`FrequencyGridSpec.for_grid`, so they are perfectly
+    coupled: requesting the same index twice returns identical samples.
+    Each column's discretized variance is checked against 1 within 2%.
+    """
+    z, hs, grid_spec, var, samples = _field_samples(h_values, z_grid, [seed])
+    return FieldGrid(z_grid=z, h_values=hs, samples=samples[0],
                      grid_spec=grid_spec, column_variance=var)
 
 
@@ -637,6 +691,13 @@ def sample_field_diagonal(h_of_z, z_grid, *,
     one; else the field at the Chebyshev ladder of the profile's own
     [min, max] (shared noise), interpolated in the index with
     :func:`_lagrange_weights`.  Returns the values and {"levels": ladder}."""
+    values, levels = _diagonal_samples(h_of_z, z_grid, [seed])
+    return values[0], {"levels": levels}
+
+
+def _diagonal_samples(h_of_z, z_grid, seeds):
+    """:func:`sample_field_diagonal` for each of ``seeds``: values of shape
+    (len(seeds), z.size), and the ladder they share."""
     h = np.asarray(h_of_z, dtype=float)
     z = np.asarray(z_grid, dtype=float)
     if h.shape != z.shape:
@@ -644,11 +705,10 @@ def sample_field_diagonal(h_of_z, z_grid, *,
     hmin, hmax = float(h.min()), float(h.max())
     levels = (np.array([hmin]) if hmax - hmin < 1e-12
               else _index_ladder(hmin, hmax))
-    fg = synthesize_field_grid(levels, z, seed=seed)
+    _, hs, _, _, samples = _field_samples(levels, z, seeds)
     # the samples are this call's own: weight them in place
-    samples = fg.samples
     samples *= _lagrange_weights(h, levels)
-    return samples.sum(axis=1), {"levels": fg.h_values}
+    return samples.sum(axis=2), hs
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .gaussian_field import (Trajectory, asymptotic_covariance_scale,
+# sample_field_diagonal is the one-seed case of _diagonal_samples; it stays
+# importable from here because perfbench/tracer.py hooks it by this name
+from .gaussian_field import (Trajectory, _diagonal_samples,  # noqa: F401
+                             asymptotic_covariance_scale,
                              increment_field_covariance, sample_field_diagonal)
 from .hermite import (HermiteSpec, Truncation, composed_covariance,
                       hermite_coeffs, truncation)
@@ -41,6 +44,7 @@ __all__ = [
     "MediumRealization",
     "VTriple",
     "build_medium",
+    "build_media",
     "white_medium",
     "v_triple",
     "slab_covariance",
@@ -226,8 +230,18 @@ def build_medium(spec: MediumSpec) -> MediumRealization:
 
     The field is sampled at slab-midpoint micro depths (spacing of one micro
     unit), transformed pointwise, and scaled by eps^(2 h(z) - 2).
-    Deterministic for a given seed.
+    Deterministic for a given seed: the one-seed case of
+    :func:`build_media`.
     """
+    return build_media(spec, [spec.seed])[0]
+
+
+def build_media(spec: MediumSpec, seeds) -> list[MediumRealization]:
+    """One realization of ``spec`` per seed, in order: each equals
+    ``build_medium`` of the spec with that seed.  The grid, the profiles,
+    the amplitude and the field's per-level work are computed once for all
+    seeds; the media share their ``z_grid`` array."""
+    seeds = list(seeds)
     n = spec.resolved_slabs()
     dz = spec.depth / n
     z_grid = dz * np.arange(n + 1)
@@ -236,17 +250,17 @@ def build_medium(spec: MediumSpec) -> MediumRealization:
     eps = spec.epsilon
 
     if spec.truncation.name == "zero":
-        micro = np.zeros(n)
+        micro = np.zeros((len(seeds), n))
     else:
         zeta = z_mid / eps ** 2
-        m, _ = sample_field_diagonal(spec.field_index(u), zeta, seed=spec.seed)
+        m, _ = _diagonal_samples(spec.field_index(u), zeta, seeds)
         micro = spec.truncation(m)
     amplitude = eps ** (2.0 * spec.h(u) - 2.0)
     nu_eps = amplitude * micro
     if not np.all(np.isfinite(nu_eps)):
         raise ConfigurationError("medium contains non-finite fluctuations")
-    return MediumRealization(z_grid=z_grid, nu_eps=nu_eps, epsilon=eps,
-                             tau=spec.tau)
+    return [MediumRealization(z_grid=z_grid, nu_eps=nu, epsilon=eps,
+                              tau=spec.tau) for nu in nu_eps]
 
 
 def white_medium(epsilon, seed=0, *, variance=1.0) -> MediumRealization:

@@ -7,9 +7,14 @@ order inside the library is deterministic (numpy pairwise reductions).
 A CSV's first column is a grid (``s``, ``omega``, ``t``, ``z``) shared by
 every file of a run, so :func:`write_csv` formats it once: each row becomes
 a template of the formatted grid value followed by ``%.17g`` slots for the
-other columns.  The templates are joined into blocks of ``_BLOCK_ROWS``
-rows, kept in a small cache keyed by the grid's bytes and the column
-count, and each block is filled by one ``%`` operation.
+other columns.  A row whose other values are all +0, -0 or 1 carries their
+text instead of slots: a spectrum's rows outside the propagated band are
+the transparent (T, R) = (1, +-0, 0, +-0), about 3,970 of its 4,096 rows
+for the benchmark's source, and they share one text per run.  Each row's
+kind (slots, or which literal per value) is read from the values' bits.
+The templates are joined into blocks of ``_BLOCK_ROWS`` rows, kept in a
+small cache keyed by the grid's bytes and the row kinds, and each block is
+filled by one ``%`` operation over its slotted rows.
 """
 from __future__ import annotations
 
@@ -24,24 +29,57 @@ import numpy as np
 _PROFILE_POINTS = 256
 # rows per template block: one string per block bounds the memory of a write
 _BLOCK_ROWS = 512
+# values a row may carry as text in its template, identified by their
+# float64 bit patterns: +0, -0 and 1, each as fmt() writes it after a comma
+_LITERAL_BITS = np.array([0.0, -0.0, 1.0]).view(np.uint64)
+_LITERAL_CELLS = (",0", ",-0", ",1")
 
 
 def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _row_kinds(rest) -> np.ndarray:
+    """Per value of the (n, k) float64 array ``rest``: 1 + the index of its
+    bit pattern in _LITERAL_BITS, or 0 for any other value; a row with a 0
+    is all 0, so that a row is either literal or all slots."""
+    bits = rest.view(np.uint64)
+    kinds = np.zeros(bits.shape, dtype=np.uint8)
+    for code, pattern in enumerate(_LITERAL_BITS, 1):
+        np.copyto(kinds, code, where=bits == pattern)
+    kinds *= kinds.all(axis=1, keepdims=True)
+    return kinds
+
+
 @functools.lru_cache(maxsize=4)
-def _row_blocks(first: bytes, n_cols: int) -> tuple[str, ...]:
+def _row_blocks(first: bytes, kinds: bytes, n_cols: int):
     """Row templates of a CSV whose first column has the float64 bytes
-    ``first``: that value formatted as by fmt(), then n_cols - 1 ``%.17g``
-    slots, in blocks of _BLOCK_ROWS rows.  Each block is one ``%`` of the
-    grid values into rows whose escaped slots ``%%.17g`` come out as
-    ``%.17g``."""
-    row = "%.17g" + ",%%.17g" * (n_cols - 1) + "\n"
+    ``first`` and whose other n_cols - 1 columns have the row kinds
+    ``kinds`` (see _row_kinds): each row is that grid value formatted as by
+    fmt(), then its literal values' text or n_cols - 1 ``%.17g`` slots.
+    Returns the blocks of _BLOCK_ROWS rows as (template, selection of the
+    block's slotted rows) pairs."""
     grid = np.frombuffer(first).tolist()
-    return tuple((row * len(chunk)) % tuple(chunk)
-                 for chunk in (grid[lo:lo + _BLOCK_ROWS]
-                               for lo in range(0, len(grid), _BLOCK_ROWS)))
+    kind = np.frombuffer(kinds, dtype=np.uint8).reshape(len(grid), n_cols - 1)
+    slotted = ~kind.all(axis=1)
+    # a block is one ``%`` of its grid values into rows of escaped slots
+    # ``%%.17g``, which come out as ``%.17g``, or of literal text
+    slots = "%.17g" + ",%%.17g" * (n_cols - 1) + "\n"
+    blocks = []
+    for lo in range(0, len(grid), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(grid))
+        block_slotted = slotted[lo:hi]
+        rows = [slots] * (hi - lo)
+        for i in np.flatnonzero(~block_slotted).tolist():
+            rows[i] = "%.17g" + "".join(
+                _LITERAL_CELLS[c - 1] for c in kind[lo + i].tolist()) + "\n"
+        if block_slotted.all():
+            select = slice(lo, hi)
+        else:
+            select = lo + np.flatnonzero(block_slotted)
+            select.flags.writeable = False  # shared by every cache caller
+        blocks.append(("".join(rows) % tuple(grid[lo:hi]), select))
+    return tuple(blocks)
 
 
 def write_csv(path, header, columns) -> Path:
@@ -58,12 +96,12 @@ def write_csv(path, header, columns) -> Path:
     rest = np.empty((n, len(cols) - 1))
     for j, c in enumerate(cols[1:]):
         rest[:, j] = c.ravel()
-    blocks = _row_blocks(first.tobytes(), len(cols))
+    blocks = _row_blocks(first.tobytes(), _row_kinds(rest).tobytes(),
+                         len(cols))
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        for i, block in enumerate(blocks):
-            lo = i * _BLOCK_ROWS
-            f.write(block % tuple(rest[lo:lo + _BLOCK_ROWS].ravel().tolist()))
+        for block, rows in blocks:
+            f.write(block % tuple(rest[rows].ravel().tolist()))
     return path
 
 

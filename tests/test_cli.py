@@ -407,6 +407,24 @@ class TestRun:
                 assert digests[path.name] == hashlib.sha256(
                     path.read_bytes()).hexdigest()
 
+    def test_record_v1_half_is_v_triple_endpoint(self, tmp_path):
+        """A record's v1_half is half the endpoint of v_triple's v1 for the
+        realization's own medium, bit for bit."""
+        from lrwave.medium import build_medium, v_triple
+
+        cfg = {"mode": "propagate", "seed": 12,
+               "output_dir": str(tmp_path / "run"),
+               "medium": {"epsilon": 0.1,
+                          "h": {"kind": "linear", "start": 0.6, "end": 0.8},
+                          "truncation": {"name": "square_center"}},
+               "source": {"n": 256}, "ensemble": {"n_realizations": 3}}
+        assert run(cfg) == 0
+        records = json.loads((tmp_path / "run" / "records.json").read_text())
+        medium = ExperimentConfig.from_dict(cfg).medium
+        for i, record in enumerate(records):
+            v1 = v_triple(build_medium(medium.to_spec(seed=(12, i))), 0.0).v1
+            assert record["v1_half"] == float(0.5 * v1.values[-1])
+
 
 class TestMain:
     def test_cli_overrides(self, tmp_path):

@@ -364,6 +364,92 @@ class TestAsymptoticScale:
         assert resid[2] < 0.05 * target
 
 
+def per_level_reference(h_values, z, seed):
+    """The field samples computed one level at a time from the complex
+    noise, as synthesize_field_grid computed them before it held the nodes
+    in the fold's padded layout: each operation written out with its
+    operand order, since a complex product is not bitwise commutative."""
+    spec = gf.FrequencyGridSpec.for_grid(z)
+    nfold = (1 if z.size == 1 else
+             int(round(2.0 * np.pi / (float(z[1] - z[0]) * spec.dx))))
+    x, widths = spec.positive_nodes()
+    k, nf = x.size, spec.n_fine
+    g = np.random.default_rng(seed).standard_normal(2 * k)
+    noise = np.empty(k, dtype=complex)
+    np.multiply(g[:k], np.sqrt(0.5 * widths), out=noise.real)
+    np.multiply(g[k:], np.sqrt(0.5 * widths), out=noise.imag)
+    base = np.multiply(noise, gf._increment_weight(x))
+    if z[0] != 0.0:
+        base = np.multiply(np.exp(-1j * z[0] * x), base)
+    twiddle = np.exp(-1j * np.pi * np.arange(z.size) / nfold)
+    fine = np.exp(-1j * np.outer(z, x[:nf])).astype(np.complex64)
+    n_uni = k - nf
+    norms = renorm_constant(np.asarray(h_values))
+    out = np.empty((z.size, len(h_values)))
+    for i, h in enumerate(h_values):
+        power = np.exp(np.multiply(np.log(x), 0.5 - h))
+        power /= norms[i]
+        c = np.multiply(base, power)
+        buf = np.zeros((n_uni + nfold) // nfold * nfold + nfold, dtype=complex)
+        buf[1:1 + n_uni] = c[nf:]
+        s = np.fft.fft(buf.reshape(-1, nfold).sum(axis=0))[:z.size] * twiddle
+        s += fine @ c[:nf].astype(np.complex64)
+        out[:, i] = 2.0 * s.real
+    return out
+
+
+class TestFieldGridReference:
+    """synthesize_field_grid gives the per-level computation's samples bit
+    for bit on the TestFieldGrid inputs."""
+
+    @pytest.mark.parametrize("h_values, z, seed", [
+        ([0.75, 0.75], np.arange(128.0), 9),
+        ([0.6, 0.8], np.arange(64.0), 3),
+        ([0.55, 0.75, 0.9], np.arange(256.0), 1),
+        ([0.75], np.arange(512.0), (77, 0)),
+        ([0.6, 0.9], np.arange(256.0), (78, 5)),
+        ([0.75], np.array([0.0]), (79, 0)),
+        ([0.6], (np.arange(1112) + 0.5) / 1112 / 0.03 ** 2, 11),
+        ([0.6, 0.7, 0.8], 0.5 + np.arange(96.0), 5),
+    ])
+    def test_bitwise(self, h_values, z, seed):
+        got = synthesize_field_grid(h_values, z, seed=seed).samples
+        want = per_level_reference(h_values, z, seed)
+        assert got.tobytes() == want.tobytes()
+
+    def test_diagonal_seeds_match_one_seed_calls(self):
+        """Several seeds through the shared levels, more than one chunk of
+        the fold's work arrays, equal one call per seed."""
+        z = 0.5 + np.arange(400.0)
+        h = np.linspace(0.8, 0.925, z.size)
+        spec = gf.FrequencyGridSpec.for_grid(z)
+        seeds = [(16, i) for i in range(5)]
+        assert gf._FOLD_NODES // (spec.n_fine + spec.n_uniform) < len(seeds)
+        values, levels = gf._diagonal_samples(h, z, seeds)
+        for seed, row in zip(seeds, values):
+            one, info = sample_field_diagonal(h, z, seed=seed)
+            assert row.tobytes() == one.tobytes()
+            assert levels.tobytes() == info["levels"].tobytes()
+
+
+class TestColumnVarianceCache:
+    def test_bounded_and_value_keyed(self):
+        grid = gf.FrequencyGridSpec.for_grid(np.arange(32.0))
+        ctx = gf._SpectralContext(grid)
+        sets = [[0.6 + 0.01 * i, 0.8] for i in range(gf._STATS_ENTRIES + 3)]
+        first = ctx.column_variance(sets[0])
+        for hs in sets[1:]:
+            ctx.column_variance(hs)
+            ctx.column_variance(sets[0])        # kept as the most recent
+            assert len(ctx._stats) <= gf._STATS_ENTRIES
+        assert len(ctx._stats) == gf._STATS_ENTRIES
+        assert ctx.column_variance(sets[0]) is first
+        # an evicted set is recomputed to the same values
+        again = ctx.column_variance(sets[1])
+        fresh = gf._SpectralContext(ctx.grid_spec).column_variance(sets[1])
+        assert again.tobytes() == fresh.tobytes()
+
+
 class TestFieldDiagonal:
     def test_constant_profile_matches_single_column(self):
         z = np.arange(128.0)

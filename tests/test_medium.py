@@ -6,9 +6,10 @@ from dataclasses import replace
 from scipy.stats import kstest
 
 from lrwave import (ConfigurationError, DomainError, MediumSpec,
-                    build_medium, check_a2, check_a3, constant_profile,
-                    fgn_covariance, linear_profile, periodic_profile,
-                    profile_from_config, truncation, v_triple, white_medium)
+                    build_media, build_medium, check_a2, check_a3,
+                    constant_profile, fgn_covariance, linear_profile,
+                    periodic_profile, profile_from_config, truncation,
+                    v_triple, white_medium)
 from lrwave.medium import MAX_SLABS, slab_covariance
 
 
@@ -24,10 +25,9 @@ def gaussian_lr_ensemble():
     Large because covariance products of long-memory fields need thousands
     of realizations for conclusive assumption checks.
     """
-    return [build_medium(MediumSpec(epsilon=0.1,
-                                    gamma_profile=constant_profile(0.8),
-                                    seed=(1700, i)))
-            for i in range(3000)]
+    return build_media(MediumSpec(epsilon=0.1,
+                                  gamma_profile=constant_profile(0.8)),
+                       [(1700, i) for i in range(3000)])
 
 
 def _realized_cov(reals, lag):
@@ -119,6 +119,49 @@ class TestBuildMedium:
         for lag, exact in rows:
             emp, se = _realized_cov(gaussian_lr_ensemble[:1500], lag)
             assert abs(emp - exact) <= 0.3 * abs(exact) + 3.0 * se
+
+
+class TestBuildMedia:
+    """One spec, several seeds: each medium is the one-seed build's, bit
+    for bit."""
+
+    SPECS = {
+        "constant": dict(h_profile=constant_profile(0.7)),
+        "linear": dict(h_profile=linear_profile(0.6, 0.85),
+                       truncation=truncation("square_center")),
+        "zero": dict(h_profile=constant_profile(0.7),
+                     truncation=truncation("zero")),
+    }
+
+    @pytest.mark.parametrize("eps", [0.05, 0.04, 0.03, 0.025])
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_matches_per_seed_builds(self, eps, kind):
+        from lrwave import gaussian_field as gf
+
+        spec = MediumSpec(epsilon=eps, seed=99, **self.SPECS[kind])
+        seeds = [(31, i) for i in range(3)] + [7]
+        media = build_media(spec, seeds)
+        assert len(media) == len(seeds)
+        for seed, real in zip(seeds, media):
+            one = build_medium(replace(spec, seed=seed))
+            assert real.nu_eps.tobytes() == one.nu_eps.tobytes()
+            assert real.z_grid.tobytes() == one.z_grid.tobytes()
+            assert (real.epsilon, real.tau) == (one.epsilon, one.tau)
+        if kind != "zero":
+            # more seeds than one chunk of the fold's work arrays holds
+            n = spec.resolved_slabs()
+            dz = spec.depth / n
+            grid = gf.FrequencyGridSpec.for_grid(
+                dz * (np.arange(n) + 0.5) / eps ** 2)
+            nodes = grid.n_fine + grid.n_uniform
+            assert gf._FOLD_NODES // nodes < len(seeds)
+
+    def test_empty_and_repeated_seeds(self):
+        spec = lr_spec(eps=0.1)
+        assert build_media(spec, []) == []
+        a, b = build_media(spec, [3, 3])
+        assert a.nu_eps.tobytes() == b.nu_eps.tobytes()
+        assert not np.shares_memory(a.nu_eps, b.nu_eps)
 
 
 class TestVTriple:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from lrwave import MediumSpec, build_medium, constant_profile, synthesize_fgn
 from lrwave import serialize
@@ -85,3 +86,110 @@ class TestRowTemplates:
         for _ in range(2):                  # cold, then from the cache
             assert written(tmp_path, list("abcd"), cols) == reference_csv(
                 list("abcd"), cols)
+
+
+class TestSpectrumRows:
+    """Rows whose values are all +0, -0 or 1 carry their text in the
+    template; every spectrum file must still equal the per-value fmt()
+    reference, whatever the band, the grid parity and the zeros' signs."""
+
+    HEADER = ["omega", "T_re", "T_im", "R_re", "R_im"]
+
+    @staticmethod
+    def band_spectrum(n, active, seed=3):
+        from lrwave.propagator import FrequencyGrid, spectrum
+
+        real = build_medium(MediumSpec(epsilon=0.2, seed=seed,
+                                       gamma_profile=constant_profile(0.8)))
+        return spectrum(real, FrequencyGrid.for_window(n, 0.25),
+                        active=active)
+
+    def check(self, tmp_path, tspec):
+        from lrwave.serialize import write_spectrum
+
+        cols = [tspec.grid.omegas, tspec.T.real, tspec.T.imag, tspec.R.real,
+                tspec.R.imag]
+        got = write_spectrum(tmp_path / "s.csv", tspec).read_bytes()
+        assert got == reference_csv(self.HEADER, cols)
+        return got
+
+    def test_masked_band(self, tmp_path):
+        n = 256
+        active = np.zeros(n, dtype=bool)
+        active[3:20] = True
+        out = self.check(tmp_path, self.band_spectrum(n, active))
+        lines = out.decode().splitlines()
+        # transparent rows: +0 imaginary parts above 0, -0 once mirrored
+        assert lines[1 + 40].endswith(",1,0,0,0")
+        assert lines[1 + n - 40].endswith(",1,-0,0,-0")
+
+    def test_full_grid(self, tmp_path):
+        self.check(tmp_path, self.band_spectrum(64, None))
+
+    def test_odd_grid(self, tmp_path):
+        n = 63
+        active = np.zeros(n, dtype=bool)
+        active[1:9] = True
+        self.check(tmp_path, self.band_spectrum(n, active))
+
+    @pytest.mark.parametrize("nyquist_in_band", [True, False])
+    def test_even_grid_nyquist(self, tmp_path, nyquist_in_band):
+        n = 128
+        active = np.zeros(n, dtype=bool)
+        active[1:6] = True
+        active[n // 2] = nyquist_in_band
+        tspec = self.band_spectrum(n, active)
+        assert (tspec.T[n // 2] != 1.0) == nyquist_in_band
+        self.check(tmp_path, tspec)
+
+    def test_signed_zeros_and_ones_in_every_column(self, tmp_path):
+        """Every row of {+0, -0, 1}^4, and rows mixing those values with
+        others or with values next to them."""
+        from lrwave.propagator import FrequencyGrid, TransmissionSpectrum
+
+        lit = np.array([0.0, -0.0, 1.0])
+        rows = np.array(np.meshgrid(lit, lit, lit, lit)).reshape(4, -1).T
+        near = [np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 5e-324,
+                -5e-324, 0.5, np.nan]
+        mixed = [np.where(np.arange(4) == j, v, rows[7 * j + i])
+                 for i, v in enumerate(near) for j in range(4)]
+        vals = np.concatenate([rows, mixed, rows[::-1]])
+        n = vals.shape[0] + (vals.shape[0] % 2)
+        vals = np.concatenate([vals, rows[:n - vals.shape[0]]])
+        # parts set one at a time: a + 1j * b would turn -0 into +0
+        t, r = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+        t.real, t.imag, r.real, r.imag = vals.T
+        tspec = TransmissionSpectrum(grid=FrequencyGrid.for_window(n, 0.5),
+                                     T=t, R=r, det_drift=0.0)
+        assert np.signbit(vals).any(axis=0).all()
+        for _ in range(2):                  # cold, then from the cache
+            self.check(tmp_path, tspec)
+
+    def test_exact_transparent_row_in_band(self, tmp_path):
+        n = 64
+        active = np.zeros(n, dtype=bool)
+        active[2:8] = True
+        tspec = self.band_spectrum(n, active)
+        tspec.T[4], tspec.R[4] = 1.0, 0.0
+        tspec.T[n - 4], tspec.R[n - 4] = 1.0, -0.0
+        self.check(tmp_path, tspec)
+
+    def test_out_of_band_rows_not_transparent(self, tmp_path):
+        n = 64
+        active = np.zeros(n, dtype=bool)
+        active[2:8] = True
+        tspec = self.band_spectrum(n, active)
+        rng = np.random.default_rng(5)
+        out = ~tspec.active
+        tspec.T[out] = rng.standard_normal(out.sum()) + 1.0
+        tspec.R[30] = 1e-300j
+        self.check(tmp_path, tspec)
+
+    def test_template_cache_stays_bounded(self, tmp_path):
+        info = serialize._row_blocks.cache_info
+        for n in range(20, 20 + 3 * info().maxsize):
+            cols = [np.arange(float(n)), np.where(np.arange(n) % 3, 1.0, 0.5)]
+            assert written(tmp_path, ["t", "v"], cols) == reference_csv(
+                ["t", "v"], cols)
+            assert info().currsize <= info().maxsize
+        assert info().currsize == info().maxsize == 4
