@@ -270,6 +270,8 @@ class ExperimentConfig:
                 data = json.load(f)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config {path} is not valid JSON: {exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"config {path} cannot be read: {exc}")
         if not isinstance(data, dict):
             raise ConfigurationError("config root must be a JSON object")
         return cls.from_dict(data, overrides)

@@ -74,8 +74,6 @@ _LADDER_LEVELS = 9
 # runs through the levels: bounds those work arrays whatever the ensemble
 # size (two seeds at eps = 0.05, one from eps = 0.04 down)
 _FOLD_NODES = 1 << 17
-# index sets whose column variances a spectral context keeps
-_STATS_ENTRIES = 4
 # the rational approximation of Gamma on [2, 3] in Cephes (Moshier 1989):
 # numerator and denominator, highest power first
 _GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3,
@@ -407,9 +405,14 @@ def _embedding_spectrum(levels, n):
 # and rebuild on every pass
 @functools.lru_cache(maxsize=3)
 def _embedding_factor(levels, n):
-    """F with 2n F F^T the embedding spectrum at each frequency, its
-    negative eigenvalues clipped; SynthesisError when more than _CLIP_TOL of
-    the eigenvalue mass is clipped.
+    """(F, noise, product): F with 2n F F^T the embedding spectrum at each
+    frequency, its negative eigenvalues clipped; SynthesisError when more
+    than _CLIP_TOL of the eigenvalue mass is clipped.  noise and product are
+    the (n + 1, L, 2) work arrays of synthesize_coupled_fgn, overwritten by
+    each call on this key (one call at a time; parallel runs use
+    processes): the Hermitian noise, and its product with F, which first
+    holds the normals.  The returned samples are the inverse FFT's own
+    array, never a work array.
 
     The eigenvectors overwrite the spectrum block by block, so the build
     holds one (n+1, L, L) array, not two: valid because
@@ -426,18 +429,8 @@ def _embedding_factor(levels, n):
                              f"levels {levels})")
     v *= np.sqrt(np.clip(w, 0.0, None) / (2 * n))[:, None, :]
     v.flags.writeable = False           # shared by every caller of the cache
-    return v
-
-
-# one per key of _embedding_factor
-@functools.lru_cache(maxsize=3)
-def _noise_work(n, width):
-    """The two (n + 1, width, 2) work arrays of synthesize_coupled_fgn,
-    overwritten by each call of that shape (one call at a time; parallel
-    runs use processes): the Hermitian noise, and its product with the
-    factor, which first holds the normals.  The returned samples are the
-    inverse FFT's own array, never a work array."""
-    return np.empty((n + 1, width, 2)), np.empty((n + 1, width, 2))
+    work = (n + 1, len(levels), 2)
+    return v, np.empty(work), np.empty(work)
 
 
 def synthesize_coupled_fgn(levels, n, seed) -> np.ndarray:
@@ -448,9 +441,8 @@ def synthesize_coupled_fgn(levels, n, seed) -> np.ndarray:
     n = int(n)
     if n < 2:
         raise DomainError("need at least two samples")
-    f = _embedding_factor(levels, n)
+    f, z, x = _embedding_factor(levels, n)
     width = len(levels)
-    z, x = _noise_work(n, width)
     # the normals sit in the product's array until the noise is built
     g = x.reshape(-1)[:2 * n * width].reshape(2 * n, width)
     np.random.default_rng(seed).standard_normal(out=g)
@@ -477,121 +469,83 @@ def synthesize_fgn(h, n, seed) -> Trajectory:
 # --------------------------------------------------------------------------
 
 class _SpectralContext:
-    """Noise-independent node data for one frequency grid, and the work
-    arrays that each synthesis on the grid overwrites.
+    """Everything one depth grid determines for the synthesis, built once
+    from the grid's float64 bytes, and the work arrays that each synthesis
+    on the grid overwrites (one call at a time; parallel runs use
+    processes; no result aliases a work array).  Building the nodes and
+    psi on them (51k at eps = 0.05) dominates a single synthesis call.
 
-    Building the nodes and evaluating psi on two million of them dominates
-    the cost of a single synthesis call, so ensemble generation reuses the
-    context across paths; reusing the work arrays spares every call fresh
-    pages.  A context serves one call at a time (parallel runs use
-    processes), and no result aliases a work array.
+    for_grid makes dz * dx = 2*pi/nfold and dx * (span + 1) <= pi/2, so
+    the fold does not alias; one depth is a trivial fold of length 1.
+    ``shift`` is exp(-i z0 x), None at z0 = 0.  ``fine`` is exp(-i z_j x_k)
+    over the refined nodes (complex64: they carry a small additive share)
+    at absolute depths, so those nodes carry z0 twice: the open
+    `fine_phases` FOUND in CHANGES.md, kept since mending it changes every
+    medium stream.  A row of the padded layout holds the refined nodes,
+    then the fold's rows: slot 0 empty, the uniform nodes, zeros up to a
+    whole extra row.  ``layout_logx`` is log x there (0 in the empty
+    slots); ``bases`` holds the noise times psi of up to _FOLD_NODES /
+    width seeds (never written outside the node slots); ``power`` a level's
+    |x|^(1/2 - H) / c(H); ``prod`` a base times that power, and a seed's
+    normals in its float view before it takes a product.
     """
 
-    def __init__(self, grid_spec):
-        self.grid_spec = grid_spec
-        self.x, self.widths = grid_spec.positive_nodes()
-        self.logx = np.log(self.x)
-        self.psix = _increment_weight(self.x)
-        self.sqrt_half_widths = np.sqrt(0.5 * self.widths)
-        self.a2w = self.widths * np.abs(self.psix) ** 2
-        self._stats = {}
-        self._fine_phases = None
-        self._origin_shift = None
-        self._layout = None
-
-    def origin_shift(self, z0):
-        """exp(-i z0 x_k) over all nodes, cached per grid origin z0 (one
-        entry, as for fine_phases).  fine_phases uses absolute depths, so the
-        refined nodes carry z0 twice: the open `fine_phases` FOUND in
-        CHANGES.md.  The offset is kept as it is, since removing it changes
-        every medium stream."""
-        if self._origin_shift is None or self._origin_shift[0] != z0:
-            shift = np.exp(-1j * z0 * self.x)
-            shift.flags.writeable = False
-            self._origin_shift = (z0, shift)
-        return self._origin_shift[1]
-
-    def fine_phases(self, z):
-        """exp(-i z_j x_k) over the refined low-frequency nodes, cached per
-        depth grid (complex64: these nodes carry a small additive share)."""
-        key = (z[0], z[-1], z.size)
-        if self._fine_phases is None or self._fine_phases[0] != key:
-            xf = self.x[:self.grid_spec.n_fine]
-            mat = np.empty((z.size, xf.size), dtype=np.complex64)
-            for lo in range(0, z.size, 4096):
-                hi = min(lo + 4096, z.size)
-                mat[lo:hi] = np.exp(-1j * np.outer(z[lo:hi], xf))
-            self._fine_phases = (key, mat)
-        return self._fine_phases[1]
-
-    def fold_layout(self, nfold):
-        """(logx, bases, power, prod): the padded node layout of a fold of
-        length ``nfold`` and its work arrays, cached for one fold length.  A
-        layout row holds the refined nodes, then the fold's rows: slot 0
-        empty, the uniform nodes, zeros up to a whole extra row.  ``logx``
-        is log x in that layout (0 in the empty slots); ``bases`` holds the
-        noise times psi of up to _FOLD_NODES / width seeds (never written
-        outside the node slots); ``power`` a level's |x|^(1/2 - H) / c(H);
-        ``prod`` a base times that power.  Before it takes a product, the
-        float view of ``prod`` holds a seed's normals."""
-        if self._layout is None or self._layout[0] != nfold:
-            nf = self.grid_spec.n_fine
-            n_uni = self.x.size - nf
-            width = nf + ((n_uni + nfold) // nfold + 1) * nfold
-            logx = np.zeros(width)
-            logx[:nf] = self.logx[:nf]
-            logx[nf + 1:nf + 1 + n_uni] = self.logx[nf:]
-            lanes = max(1, _FOLD_NODES // width)
-            self._layout = (nfold, logx,
-                            np.zeros((lanes, width), dtype=complex),
-                            np.empty(width), np.empty(width, dtype=complex))
-        return self._layout[1:]
-
-    def column_variance(self, h_values):
-        """Exact variances of the discretized field's columns, cached for
-        the last _STATS_ENTRIES index sets."""
-        key = tuple(round(float(h), 12) for h in h_values)
-        stats = self._stats
-        if key in stats:
-            stats[key] = stats.pop(key)          # most recent last
-        else:
-            if len(stats) >= _STATS_ENTRIES:
-                del stats[next(iter(stats))]
-            hs = np.asarray(h_values, dtype=float)
-            stats[key] = np.array([
-                2.0 * np.dot(self.a2w, np.exp((1.0 - 2.0 * h) * self.logx))
-                for h in hs]) / renorm_constant(hs) ** 2
-        return stats[key]
+    def __init__(self, z_bytes):
+        z = np.frombuffer(z_bytes)
+        self.grid_spec = spec = FrequencyGridSpec.for_grid(z)
+        self.nfold = nfold = (1 if z.size == 1 else
+                              int(round(2.0 * np.pi / (float(z[1] - z[0])
+                                                       * spec.dx))))
+        x, widths = spec.positive_nodes()
+        self.logx = np.log(x)
+        self.psix = _increment_weight(x)
+        self.sqrt_half_widths = np.sqrt(0.5 * widths)
+        self.a2w = widths * np.abs(self.psix) ** 2
+        self.shift = np.exp(-1j * z[0] * x) if z[0] != 0.0 else None
+        nf = spec.n_fine
+        self.fine = np.empty((z.size, nf), dtype=np.complex64)
+        for lo in range(0, z.size, 4096):
+            hi = min(lo + 4096, z.size)
+            self.fine[lo:hi] = np.exp(-1j * np.outer(z[lo:hi], x[:nf]))
+        self.twiddle = np.exp(-1j * np.pi * np.arange(z.size) / nfold)
+        n_uni = x.size - nf
+        width = nf + ((n_uni + nfold) // nfold + 1) * nfold
+        self.layout_logx = np.zeros(width)
+        self.layout_logx[:nf] = self.logx[:nf]
+        self.layout_logx[nf + 1:nf + 1 + n_uni] = self.logx[nf:]
+        self.bases = np.zeros((max(1, _FOLD_NODES // width), width),
+                              dtype=complex)
+        self.power = np.empty(width)
+        self.prod = np.empty(width, dtype=complex)
 
 
 _spectral_context = functools.lru_cache(maxsize=2)(_SpectralContext)
 
 
-def _field_columns(h_values, z, ctx, nfold, seeds):
-    """Evaluate m(z_j, H_i) = 2 Re sum_k g_k(H_i) dB_k exp(-i z_j x_k), with
-    dB drawn from each seed's own stream: shape (len(seeds), z.size,
-    len(h_values)).  The uniform nodes are summed by one FFT of length
-    ``nfold``, the refined ones by a direct complex64 product per seed and
-    level.
+def _field_columns(h_values, ctx, seeds):
+    """Evaluate m(z_j, H_i) = 2 Re sum_k g_k(H_i) dB_k exp(-i z_j x_k) on
+    the context's depth grid, with dB drawn from each seed's own stream:
+    shape (len(seeds), depths, len(h_values)).  The uniform nodes are summed
+    by one FFT of length ``ctx.nfold``, the refined ones by a direct
+    complex64 product per seed and level.
 
-    The seeds run in chunks of the fold layout's ``bases`` rows; within a
-    chunk each level's power is computed once and scales every seed's base.
+    The seeds run in chunks of the context's ``bases`` rows; within a chunk
+    each level's power is computed once and scales every seed's base.
     """
     nf = ctx.grid_spec.n_fine
-    k = ctx.x.size
+    k = ctx.psix.size
     # (layout slots, nodes) of the refined and of the uniform nodes
     parts = ((slice(0, nf), slice(0, nf)),
              (slice(nf + 1, k + 1), slice(nf, k)))
-    logx, bases, power, prod = ctx.fold_layout(nfold)
+    bases, power, prod = ctx.bases, ctx.power, ctx.prod
     # the product's float view is free until the product is taken
     g = prod.view(float)[:2 * k]
-    shw, psix = ctx.sqrt_half_widths, ctx.psix
-    shift = ctx.origin_shift(z[0]) if z[0] != 0.0 else None
-    twiddle = np.exp(-1j * np.pi * np.arange(z.size) / nfold)
-    fine = ctx.fine_phases(z)
+    shw, psix, shift = ctx.sqrt_half_widths, ctx.psix, ctx.shift
+    twiddle, fine = ctx.twiddle, ctx.fine
+    depths = twiddle.size
     norms = renorm_constant(np.asarray(h_values))
-    out = np.empty((len(seeds), z.size, len(h_values)))
-    fold = prod[nf:].reshape(-1, nfold)
+    out = np.empty((len(seeds), depths, len(h_values)))
+    fold = prod[nf:].reshape(-1, ctx.nfold)
     for lo in range(0, len(seeds), len(bases)):
         chunk = seeds[lo:lo + len(bases)]
         for base, seed in zip(bases, chunk):
@@ -607,14 +561,14 @@ def _field_columns(h_values, z, ctx, nfold, seeds):
                     np.multiply(shift[nodes], dst, out=dst)
         for i, h in enumerate(h_values):
             # |x|^(1/2 - h) / c(h), shared by the chunk's seeds
-            np.multiply(logx, 0.5 - h, out=power)
+            np.multiply(ctx.layout_logx, 0.5 - h, out=power)
             np.exp(power, out=power)
             power /= norms[i]
             for s, base in enumerate(bases[:len(chunk)]):
                 # the real power scales each part: no complex cast
                 np.multiply(base.real, power, out=prod.real)
                 np.multiply(base.imag, power, out=prod.imag)
-                col = np.fft.fft(fold.sum(axis=0))[:z.size] * twiddle
+                col = np.fft.fft(fold.sum(axis=0))[:depths] * twiddle
                 col += fine @ prod[:nf].astype(np.complex64)
                 out[lo + s, :, i] = 2.0 * col.real
     return out
@@ -631,15 +585,11 @@ def _field_samples(h_values, z_grid, seeds):
         dzs = np.diff(z)
         if dzs.min() <= 0 or not np.allclose(dzs, dzs[0], rtol=1e-9):
             raise ConfigurationError("depth grid must be uniform and increasing")
-    hs = [validate_hurst(h) for h in np.atleast_1d(h_values)]
-    grid_spec = FrequencyGridSpec.for_grid(z)
-    # for_grid makes dz * dx = 2*pi/nfold and dx * (span + 1) <= pi/2, so the
-    # fold does not alias; one depth is a trivial fold of length 1
-    nfold = (1 if z.size == 1 else
-             int(round(2.0 * np.pi / (float(z[1] - z[0]) * grid_spec.dx))))
-
-    ctx = _spectral_context(grid_spec)
-    var = ctx.column_variance(hs)
+    hs = np.array([validate_hurst(h) for h in np.atleast_1d(h_values)])
+    ctx = _spectral_context(z.tobytes())
+    # the exact variances of the discretized field's columns
+    var = np.array([2.0 * np.dot(ctx.a2w, np.exp((1.0 - 2.0 * h) * ctx.logx))
+                    for h in hs]) / renorm_constant(hs) ** 2
     dev = np.abs(var - 1.0)
     if np.any(dev > _VAR_TOL):
         i = int(np.argmax(dev))
@@ -647,8 +597,8 @@ def _field_samples(h_values, z_grid, seeds):
             f"discretized column variance off by {dev[i]:.3%} "
             f"(> {_VAR_TOL:.1%}) at field index {hs[i]:.4g}: the spectral "
             "grid cannot resolve indices this close to 1")
-    samples = _field_columns(hs, z, ctx, nfold, list(seeds))
-    return z, np.asarray(hs), grid_spec, var, samples
+    samples = _field_columns(hs, ctx, list(seeds))
+    return z, hs, ctx.grid_spec, var, samples
 
 
 def synthesize_field_grid(h_values, z_grid, *, seed=0) -> FieldGrid:

@@ -46,8 +46,9 @@ MAX_PHASE_STEP = np.pi / 8.0
 # steps per tree-reduced block; fixed, so that a frequency's result does not
 # depend on which other frequencies share its sub-step bin
 _BLOCK = 256
-# (realization, frequency) lanes of one block tree; bounds the tree's
-# temporaries to _BLOCK x _LANES complex entries whatever the ensemble size
+# (realization, frequency) lanes of one block tree, at least one
+# realization: bounds the tree's temporaries to _BLOCK x max(_LANES,
+# frequencies in the bin) complex entries whatever the ensemble size
 _LANES = 64
 
 

@@ -460,6 +460,23 @@ class TestMain:
         assert m2["config"] == {**m1["config"], "output_dir": str(second)}
         assert m2["artifacts"] == m1["artifacts"]
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "latin-1"])
+    def test_unreadable_config_exits_one(self, tmp_path, capsys, kind):
+        """A config path that is missing, a directory or not UTF-8 is a
+        ConfigurationError naming the path, and the run exits 1."""
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "latin-1":
+            path.write_bytes('{"mode": "verify", "x": "\xe9"}'.encode("latin-1"))
+        with pytest.raises(ConfigurationError, match="cannot be read") as exc:
+            ExperimentConfig.from_file(path)
+        assert str(path) in str(exc.value)
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 1
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LRWAVE_JOBS", "3")
         status = main(["--mode", "verify", "--out", str(tmp_path)])

@@ -175,7 +175,7 @@ class TestSynthesizeFgn:
 def _realized_lag_covariance(levels, n):
     """Lag covariances k = 0..n-1 the cached factor realizes: the inverse
     FFT of 2n F F^T, shape (n, L, L)."""
-    f = gf._embedding_factor(tuple(levels), n)
+    f = gf._embedding_factor(tuple(levels), n)[0]
     spec = 2 * n * (f @ np.swapaxes(f, 1, 2))
     return np.fft.irfft(spec, 2 * n, axis=0)[:n]
 
@@ -211,7 +211,7 @@ class TestCoupledFgn:
         levels, n = tuple(0.02 * np.arange(27, 44)), 2500
         assert (n + 1) % gf._EIGH_BLOCK
         gf._embedding_factor.cache_clear()
-        f = gf._embedding_factor(levels, n)
+        f, _, _ = gf._embedding_factor(levels, n)
         w, v = np.linalg.eigh(gf._embedding_spectrum(levels, n))
         v *= np.sqrt(np.clip(w, 0.0, None) / (2 * n))[:, None, :]
         assert np.array_equal(f, v)
@@ -231,7 +231,7 @@ class TestCoupledFgn:
         kept = first.copy()
         gf.synthesize_coupled_fgn(levels, 400, seed=2)
         assert first.tobytes() == kept.tobytes()
-        gf._noise_work.cache_clear()
+        gf._embedding_factor.cache_clear()
         fresh = gf.synthesize_coupled_fgn(levels, 400, seed=1)
         assert fresh.tobytes() == kept.tobytes()
 
@@ -432,24 +432,6 @@ class TestFieldGridReference:
             assert levels.tobytes() == info["levels"].tobytes()
 
 
-class TestColumnVarianceCache:
-    def test_bounded_and_value_keyed(self):
-        grid = gf.FrequencyGridSpec.for_grid(np.arange(32.0))
-        ctx = gf._SpectralContext(grid)
-        sets = [[0.6 + 0.01 * i, 0.8] for i in range(gf._STATS_ENTRIES + 3)]
-        first = ctx.column_variance(sets[0])
-        for hs in sets[1:]:
-            ctx.column_variance(hs)
-            ctx.column_variance(sets[0])        # kept as the most recent
-            assert len(ctx._stats) <= gf._STATS_ENTRIES
-        assert len(ctx._stats) == gf._STATS_ENTRIES
-        assert ctx.column_variance(sets[0]) is first
-        # an evicted set is recomputed to the same values
-        again = ctx.column_variance(sets[1])
-        fresh = gf._SpectralContext(ctx.grid_spec).column_variance(sets[1])
-        assert again.tobytes() == fresh.tobytes()
-
-
 class TestFieldDiagonal:
     def test_constant_profile_matches_single_column(self):
         z = np.arange(128.0)
@@ -487,8 +469,9 @@ class TestFieldDiagonal:
         assert info["levels"].size == 9
 
     def test_origin_shift_cache_matches_fresh_context(self):
-        # one context serves grids of the same spacing and span; its cached
-        # phase exp(-i z0 x) must follow the origin z0
+        # grids of the same spacing and span but other origins get contexts
+        # of their own, each with its phase exp(-i z0 x): a cached context
+        # draws what a fresh one draws
         h = np.linspace(0.6, 0.8, 64)
         origins = (0.5, 1.5, 0.5)
 
@@ -515,6 +498,30 @@ class TestFieldDiagonal:
         gf._spectral_context.cache_clear()
         fresh = synthesize_field_grid([0.6, 0.8], z, seed=5)
         assert fresh.samples.tobytes() == kept.tobytes()
+
+
+class TestSpectralContextKey:
+    def test_one_context_per_grid_bytes(self):
+        """Grids with the same ends and size but other interior bytes get
+        contexts of their own; the cache holds at most two of three."""
+        n, eps = 1112, 0.03
+        mid = (np.arange(n) + 0.5) / n / eps ** 2
+        lin = np.linspace(mid[0], mid[-1], n)
+        assert (mid[0], mid[-1]) == (lin[0], lin[-1])
+        assert mid.tobytes() != lin.tobytes()
+        gf._spectral_context.cache_clear()
+        drawn = []
+        for z in (mid, lin, np.arange(64.0)):
+            drawn.append(synthesize_field_grid([0.7], z, seed=3).samples)
+            assert gf._spectral_context.cache_info().currsize <= 2
+        info = gf._spectral_context.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 0, 2)
+        assert (gf._spectral_context(mid.tobytes())
+                is not gf._spectral_context(lin.tobytes()))
+        for z, got in zip((mid, lin), drawn):
+            gf._spectral_context.cache_clear()
+            fresh = synthesize_field_grid([0.7], z, seed=3).samples
+            assert got.tobytes() == fresh.tobytes()
 
 
 class TestSpectralWeight:

@@ -207,6 +207,31 @@ class TestVTriple:
         assert v3_vars[0] > v3_vars[2]
 
 
+class TestTau:
+    """tau != 1 enters only the phase 2 omega z / eps^tau: the long-range
+    amplitude eps^(2h - 2) of nu_eps carries no tau."""
+
+    @pytest.mark.parametrize("tau", [0.5, 1.5])
+    def test_nu_eps_independent_of_tau(self, tau):
+        spec = lr_spec(eps=0.05, seed=3)
+        real = build_medium(replace(spec, tau=tau))
+        ref = build_medium(spec)
+        assert real.tau == tau
+        assert real.nu_eps.tobytes() == ref.nu_eps.tobytes()
+        assert real.z_grid.tobytes() == ref.z_grid.tobytes()
+
+    @pytest.mark.parametrize("tau", [0.5, 1.5])
+    @pytest.mark.parametrize("omega", [2.0, 7.0])
+    def test_constant_medium_v2_closed_form(self, tau, omega):
+        """For nu = 3, v2(z) = 3 eps^tau sin(2 omega z / eps^tau) / (2 omega)."""
+        real = build_medium(lr_spec(seed=1, tau=tau))
+        r = replace(real, nu_eps=np.full(real.n_slabs, 3.0))
+        eps_tau = r.epsilon ** tau
+        want = 3.0 * eps_tau * np.sin(2.0 * omega * r.z_grid / eps_tau) / (
+            2.0 * omega)
+        assert np.max(np.abs(v_triple(r, omega).v2.values - want)) < 1e-12
+
+
 class TestAssumptionChecks:
     def test_slab_covariance_rank_one_is_fgn(self):
         """K=1, constant gamma, 1/eps^2 an integer: eps^(4h-4) rho_H(lag)."""

@@ -67,6 +67,19 @@ class TestPropagate:
         assert abs(st_.beta - half * np.exp(1j * phi)) < 1e-10
         assert st_.det_drift < 1e-15
 
+    @pytest.mark.parametrize("tau", [0.5, 1.5])
+    def test_single_slab_phase_carries_tau(self, medium, tau):
+        """beta = (i omega nu dz / 2) e^{i phi}, phi = 2 omega z_mid / eps^tau,
+        on one slab off the surface with one sub-step."""
+        w, nu, z0, length = 2.0, 3.0, 0.3, 0.001
+        real = replace(medium, z_grid=np.array([z0, z0 + length]),
+                       nu_eps=np.array([nu]), tau=tau)
+        eps_tau = medium.epsilon ** tau
+        assert _substeps(w, length, eps_tau) == 1
+        phi = 2 * w * (z0 + length / 2) / eps_tau
+        want = 1j * w * nu * length / 2 * np.exp(1j * phi)
+        assert abs(propagate(real, w).beta - want) < 1e-10 * abs(want)
+
     @given(st.floats(min_value=-8, max_value=8),
            st.floats(min_value=-5, max_value=5))
     @settings(max_examples=30, deadline=None)
