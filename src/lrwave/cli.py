@@ -15,6 +15,7 @@ process in index order.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
@@ -43,42 +44,52 @@ def _source_band(source, tol=1e-16):
 
 def _realizations(cfg, epsilon, indices, source):
     """Media -> spectra over the source band -> transmitted pulses for the
-    realizations ``indices`` at one epsilon; yields (spectrum, pulse, record)
-    per index, in order.  The media come from one spec, realization i
-    drawing from the seed (cfg.seed, i), and share one slab grid, so their
-    spectra come from one batched ``spectra`` call."""
+    realizations ``indices`` at one epsilon; yields (spectra, traces,
+    records) per block of realizations, in index order, the traces of shape
+    (block, n) on the source's grid.  The media come from one spec,
+    realization i drawing from the seed (cfg.seed, i), and share one slab
+    grid, so their spectra come from one batched ``spectra`` call; a
+    block's traces and distances take one 2-D FFT each.  A block holds
+    2^13 trace samples (2 traces of 4,096), which bounds its complex stacks
+    to 128 KiB each whatever the ensemble size; larger blocks ran little
+    faster and raised the peak RSS (README, Performance)."""
     from .medium import build_media
     from .propagator import spectra
-    from .pulse import (PulseTrace, pulse_distance, pulse_width,
-                        transmitted_pulse)
+    from .pulse import PulseTrace, _distances, _ensemble_traces, pulse_width
 
     # the spec's own seed is not drawn: each realization has its own
     spec = cfg.medium.to_spec(seed=cfg.seed, epsilon=epsilon)
     reals = build_media(spec, [(cfg.seed, i) for i in indices])
+    tspecs = spectra(reals, source.grid, active=_source_band(source))
     ref = PulseTrace(s_grid=source.s_grid, values=source.values)
     ref_width = pulse_width(ref, lobe_floor=0.02)
-    for index, real, tspec in zip(indices, reals, spectra(
-            reals, source.grid, active=_source_band(source))):
-        trace = transmitted_pulse(tspec, source)
-        dist = pulse_distance(ref, trace)
-        record = {
-            "epsilon": float(epsilon),
-            "index": int(index),
-            "l2": dist.l2,
-            "sup": dist.sup,
-            "best_shift": dist.best_shift,
-            # half the travel-time integral v1(Z), summed as v_triple sums it
-            "v1_half": float(0.5 * np.cumsum(real.nu_eps * real.dz)[-1]),
-            # main-lobe width: the raw window moment is dominated by the coda
-            "width_ratio": pulse_width(trace, lobe_floor=0.02) / ref_width,
-            "conservation_defect": tspec.conservation_defect(),
-        }
-        yield tspec, trace, record
+    rows = max(1, (1 << 13) // source.grid.n)
+    for lo in range(0, len(reals), rows):
+        block = list(itertools.islice(tspecs, rows))
+        traces = _ensemble_traces(block, source)
+        l2, sup, shifts = _distances(ref, traces)
+        records = []
+        for j, (real, tspec) in enumerate(zip(reals[lo:], block)):
+            trace = PulseTrace(s_grid=source.s_grid, values=traces[j])
+            records.append({
+                "epsilon": float(epsilon),
+                "index": int(indices[lo + j]),
+                "l2": l2[j],
+                "sup": float(sup[j]),
+                "best_shift": float(shifts[j]),
+                # half of v1(Z), the travel-time integral, as v_triple sums it
+                "v1_half": float(0.5 * np.cumsum(real.nu_eps * real.dz)[-1]),
+                # main-lobe width: the window moment is dominated by the coda
+                "width_ratio": pulse_width(trace, lobe_floor=0.02) / ref_width,
+                "conservation_defect": tspec.conservation_defect(),
+            })
+        yield block, traces, records
 
 
 def _sweep_records(args):
     """Records of one contiguous chunk of an epsilon's realizations."""
-    return [record for _, _, record in _realizations(*args)]
+    return [record for _, _, records in _realizations(*args)
+            for record in records]
 
 
 def _map_indexed(fn, items, jobs):
@@ -109,19 +120,25 @@ def _run_synth(cfg: ExperimentConfig, out, artifacts):
 
 
 def _run_propagate(cfg: ExperimentConfig, out, artifacts):
-    from .pulse import reflected_pulse
+    from .pulse import PulseTrace, _ensemble_traces
 
     source = cfg.source.build()
-    records = []
-    for i, (tspec, trace, record) in enumerate(_realizations(
+    all_records = []
+    for block, traces, records in _realizations(
             cfg, cfg.medium.epsilon, range(cfg.ensemble.n_realizations),
-            source)):
-        artifacts.append(write_spectrum(out / f"spectrum_{i:04d}.csv", tspec))
-        artifacts.append(write_pulse(out / f"transmitted_{i:04d}.csv", trace))
-        artifacts.append(write_pulse(out / f"reflected_{i:04d}.csv",
-                                     reflected_pulse(tspec, source)))
-        records.append(record)
-    artifacts.append(write_json(out / "records.json", records))
+            source):
+        reflected = _ensemble_traces(block, source, reflected=True)
+        for j, tspec in enumerate(block):
+            i = len(all_records) + j
+            artifacts.append(write_spectrum(out / f"spectrum_{i:04d}.csv",
+                                            tspec))
+            for kind, values in (("transmitted", traces[j]),
+                                 ("reflected", reflected[j])):
+                artifacts.append(write_pulse(
+                    out / f"{kind}_{i:04d}.csv",
+                    PulseTrace(s_grid=source.s_grid, values=values)))
+        all_records.extend(records)
+    artifacts.append(write_json(out / "records.json", all_records))
     return {"realizations": cfg.ensemble.n_realizations}
 
 

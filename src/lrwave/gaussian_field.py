@@ -264,8 +264,13 @@ def renorm_constant_sq(h):
 
 
 def _renorm_sq(h):
-    """:func:`renorm_constant_sq` of indices already checked to lie in (0, 1)."""
-    return np.pi / (h * _gamma_fn(2.0 * h) * np.sin(np.pi * h))
+    """:func:`renorm_constant_sq` of indices already checked to lie in (0, 1).
+    The products build in place (bitwise commutative), so an array takes
+    no temporary beyond its factors; a scalar gives a numpy float."""
+    g = _gamma_fn(2.0 * h)
+    g *= h
+    g *= np.sin(np.pi * h)
+    return np.pi / g
 
 
 def renorm_constant(h):
@@ -337,8 +342,12 @@ def _asymptotic_scale(h1, h2):
     """:func:`asymptotic_covariance_scale` of indices already checked to lie
     in (0, 1), not converted to float."""
     s = h1 + h2
-    return (0.5 * s * (s - 1.0) * _renorm_sq(0.5 * s)
-            / (np.sqrt(_renorm_sq(h1)) * np.sqrt(_renorm_sq(h2))))
+    # 0.5 s (s - 1) R(s / 2) / (sqrt R(h1) sqrt R(h2)), built in place
+    val = 0.5 * s
+    val *= s - 1.0
+    val *= _renorm_sq(0.5 * s)
+    val /= np.sqrt(_renorm_sq(h1)) * np.sqrt(_renorm_sq(h2))
+    return val
 
 
 def increment_field_covariance(z1, z2, h1, h2):
@@ -484,10 +493,13 @@ class _SpectralContext:
     medium stream.  A row of the padded layout holds the refined nodes,
     then the fold's rows: slot 0 empty, the uniform nodes, zeros up to a
     whole extra row.  ``layout_logx`` is log x there (0 in the empty
-    slots); ``bases`` holds the noise times psi of up to _FOLD_NODES /
-    width seeds (never written outside the node slots); ``power`` a level's
-    |x|^(1/2 - H) / c(H); ``prod`` a base times that power, and a seed's
-    normals in its float view before it takes a product.
+    slots).  ``planes[s]`` holds the real and the imaginary plane of seed
+    s's noise times psi (and the origin phase), for as many seeds as fit
+    _FOLD_NODES padded nodes: the bytes of that many complex rows, zero
+    outside the node slots (never written), and a seed's normals in its
+    node slots before its plane is built.  ``power`` is a level's
+    |x|^(1/2 - H) / c(H); before the levels, its bytes build a seed's
+    planes as complex numbers, half a row at a time.
     """
 
     def __init__(self, z_bytes):
@@ -513,10 +525,9 @@ class _SpectralContext:
         self.layout_logx = np.zeros(width)
         self.layout_logx[:nf] = self.logx[:nf]
         self.layout_logx[nf + 1:nf + 1 + n_uni] = self.logx[nf:]
-        self.bases = np.zeros((max(1, _FOLD_NODES // width), width),
-                              dtype=complex)
+        seeds = max(1, _FOLD_NODES // width)
+        self.planes = np.zeros((seeds, 2, width))
         self.power = np.empty(width)
-        self.prod = np.empty(width, dtype=complex)
 
 
 _spectral_context = functools.lru_cache(maxsize=2)(_SpectralContext)
@@ -529,48 +540,87 @@ def _field_columns(h_values, ctx, seeds):
     by one FFT of length ``ctx.nfold``, the refined ones by a direct
     complex64 product per seed and level.
 
-    The seeds run in chunks of the context's ``bases`` rows; within a chunk
-    each level's power is computed once and scales every seed's base.
+    The seeds run in chunks of the context's ``planes`` (two seeds at
+    eps = 0.05, one from eps = 0.04 down, since _FOLD_NODES bounds the
+    chunk's padded nodes).  Within a chunk each level's power is computed
+    once; one einsum folds the uniform nodes of both planes of every seed,
+    adding the fold's rows in order, and one row-wise FFT transforms the
+    chunk.
     """
     nf = ctx.grid_spec.n_fine
     k = ctx.psix.size
     # (layout slots, nodes) of the refined and of the uniform nodes
     parts = ((slice(0, nf), slice(0, nf)),
              (slice(nf + 1, k + 1), slice(nf, k)))
-    bases, power, prod = ctx.bases, ctx.power, ctx.prod
-    # the product's float view is free until the product is taken
-    g = prod.view(float)[:2 * k]
+    planes, power = ctx.planes, ctx.power
     shw, psix, shift = ctx.sqrt_half_widths, ctx.psix, ctx.shift
-    twiddle, fine = ctx.twiddle, ctx.fine
+    twiddle, fine, nfold = ctx.twiddle, ctx.fine, ctx.nfold
     depths = twiddle.size
     norms = renorm_constant(np.asarray(h_values))
     out = np.empty((len(seeds), depths, len(h_values)))
-    fold = prod[nf:].reshape(-1, ctx.nfold)
-    for lo in range(0, len(seeds), len(bases)):
-        chunk = seeds[lo:lo + len(bases)]
-        for base, seed in zip(bases, chunk):
-            np.random.default_rng(seed).standard_normal(out=g)
-            # dB = (g[:k] + i g[k:]) sqrt(widths / 2), times psi, times the
-            # origin phase: refined and uniform nodes apart, one part at a time
-            for slots, nodes in parts:
-                dst = base[slots]
-                np.multiply(g[nodes], shw[nodes], out=dst.real)
-                np.multiply(g[k:][nodes], shw[nodes], out=dst.imag)
+    power_fold = power[nf:].reshape(-1, nfold)
+    # the power's bytes, as complex numbers, are free until a level takes
+    # them: they build a seed's row in (layout slots, nodes) blocks
+    scratch = power[:power.size - power.size % 2].view(complex)
+    blocks = []
+    for slots, nodes in parts:
+        off = slots.start - nodes.start
+        for a in range(nodes.start, nodes.stop, scratch.size):
+            b = min(a + scratch.size, nodes.stop)
+            blocks.append((slice(a + off, b + off), slice(a, b)))
+    # a seed's refined nodes times the power
+    fine_prod = np.empty(nf, dtype=np.complex64)
+    for lo in range(0, len(seeds), len(planes)):
+        chunk = seeds[lo:lo + len(planes)]
+        n = len(chunk)
+        for plane, seed in zip(planes, chunk):
+            # the seed's normals g, drawn into the node slots in stream
+            # order: the k real parts, then the k imaginary parts
+            rng = np.random.default_rng(seed)
+            for part in plane:
+                for slots, _ in parts:
+                    rng.standard_normal(out=part[slots])
+            # dB = (g_re + i g_im) sqrt(widths / 2), times psi, times the
+            # origin phase, a block of nodes at a time in the scratch
+            for slots, nodes in blocks:
+                dst = scratch[:slots.stop - slots.start]
+                np.multiply(plane[0, slots], shw[nodes], out=dst.real)
+                np.multiply(plane[1, slots], shw[nodes], out=dst.imag)
                 np.multiply(dst, psix[nodes], out=dst)
                 if shift is not None:
                     np.multiply(shift[nodes], dst, out=dst)
+                plane[0, slots] = dst.real
+                plane[1, slots] = dst.imag
+        # (seed, plane, fold row, fold column) views of the uniform nodes
+        fold = planes[:n, :, nf:].reshape(n, 2, -1, nfold)
+        # the fold's sums of each seed, and their real and imaginary planes
+        # as the einsum's (seed, plane, fold column) view
+        folded = np.empty((n, nfold), dtype=complex)
+        folded_planes = folded.view(float).reshape(n, nfold, 2).transpose(
+            0, 2, 1)
         for i, h in enumerate(h_values):
             # |x|^(1/2 - h) / c(h), shared by the chunk's seeds
             np.multiply(ctx.layout_logx, 0.5 - h, out=power)
             np.exp(power, out=power)
             power /= norms[i]
-            for s, base in enumerate(bases[:len(chunk)]):
-                # the real power scales each part: no complex cast
-                np.multiply(base.real, power, out=prod.real)
-                np.multiply(base.imag, power, out=prod.imag)
-                col = np.fft.fft(fold.sum(axis=0))[:depths] * twiddle
-                col += fine @ prod[:nf].astype(np.complex64)
-                out[lo + s, :, i] = 2.0 * col.real
+            if nfold > 1:
+                np.einsum("sprj,rj->spj", fold, power_fold,
+                          out=folded_planes)
+            else:
+                # numpy sums a one-column fold pairwise, as complex
+                # numbers: each seed's products go into one complex row
+                prod = np.empty(power.size - nf, dtype=complex)
+                for s, plane in enumerate(planes[:n]):
+                    np.multiply(plane[:, nf:], power[nf:],
+                                out=prod.view(float).reshape(-1, 2).T)
+                    folded[s, 0] = prod.sum()
+            cols = np.fft.fft(folded, axis=1)[:, :depths] * twiddle
+            for col, plane in zip(cols, planes):
+                # the real power scales each plane: no complex cast
+                np.multiply(plane[0, :nf], power[:nf], out=fine_prod.real)
+                np.multiply(plane[1, :nf], power[:nf], out=fine_prod.imag)
+                col += fine @ fine_prod
+            out[lo:lo + n, :, i] = 2.0 * cols.real
     return out
 
 

@@ -285,8 +285,12 @@ def sh_covariance(h_profile, z1, z2, *, j1=1.0) -> float:
     weights = weights.reshape(owner.size, -1)
     h2 = _checked_index(prof(nodes), nodes.shape)
     hu = h1[owner, None]
-    vals = (j1_sq * _asymptotic_scale(hu, h2)
-            * np.abs(u[owner, None] - nodes) ** (hu + h2 - 2.0))
-    inner += np.bincount(owner, weights=np.sum(weights * vals, axis=1),
+    # j1^2 R(hu, h2) |u - node|^(hu + h2 - 2), each product in place
+    vals = _asymptotic_scale(hu, h2)
+    vals *= j1_sq
+    dist = np.subtract(u[owner, None], nodes)
+    vals *= np.power(np.abs(dist, out=dist), hu + h2 - 2.0, out=dist)
+    vals *= weights
+    inner += np.bincount(owner, weights=np.sum(vals, axis=1),
                          minlength=u.size)
     return float(np.dot(w, inner))

@@ -72,10 +72,16 @@ def _forward(s_grid, values):
 
 
 def _inverse(s_grid, spectrum_values, omegas):
+    """Samples of the spectra ``spectrum_values`` (one per row), a fresh
+    array that is overwritten and returned: phase, transform and scale in
+    place take the bits of fft(values * phase) / (n ds)."""
     n = s_grid.size
     ds = float(s_grid[1] - s_grid[0])
-    x = spectrum_values * np.exp(-1j * omegas * s_grid[0])
-    return np.fft.fft(x) / (n * ds)
+    x = spectrum_values
+    x *= np.exp(-1j * omegas * s_grid[0])
+    np.fft.fft(x, out=x)
+    x /= n * ds
+    return x
 
 
 def _check_band_limited(fhat, tol=1e-6):
@@ -125,9 +131,20 @@ def ricker_source(width=1.0, window_lengths=16.0, n=4096) -> SourcePulse:
     return _make_source(s, (1.0 - q) * np.exp(-0.5 * q))
 
 
-def _synthesize(tspec: TransmissionSpectrum, f: SourcePulse, coeffs) -> PulseTrace:
-    if tspec.grid.n != f.grid.n or not np.allclose(
-            tspec.grid.omegas, f.grid.omegas, rtol=1e-12, atol=1e-12):
+def _ensemble_traces(tspecs, f: SourcePulse, reflected=False):
+    """Window-frame transmitted (or reflected) traces, shape (R, n), of the
+    spectra ``tspecs`` times the source spectrum, by one 2-D FFT.  The
+    spectra share one grid and one active mask, as those of one
+    :func:`~lrwave.propagator.spectra` call do, so the grid and band-leak
+    checks run once."""
+    tspec = tspecs[0]
+    if any(t.grid is not tspec.grid or t.active is not tspec.active
+           for t in tspecs):
+        raise ConfigurationError(
+            "an ensemble's spectra must share one grid and active mask")
+    g = tspec.grid
+    if g is not f.grid and (g.n != f.grid.n or not np.allclose(
+            g.omegas, f.grid.omegas, rtol=1e-12, atol=1e-12)):
         raise ConfigurationError(
             "transmission spectrum and source are on different frequency grids")
     if tspec.active is not None:
@@ -138,24 +155,31 @@ def _synthesize(tspec: TransmissionSpectrum, f: SourcePulse, coeffs) -> PulseTra
             raise ConfigurationError(
                 f"source has {leak:.2e} of its energy outside the propagated "
                 "band; widen the active mask")
-    values = _inverse(f.s_grid, coeffs * f.fhat, f.grid.omegas)
-    peak = float(np.max(np.abs(values.real)))
-    resid = float(np.max(np.abs(values.imag)))
-    if resid > 1e-9 * max(peak, 1e-300):
+    coeffs = np.stack([t.R if reflected else t.T for t in tspecs],
+                      dtype=complex)
+    coeffs *= f.fhat
+    values = _inverse(f.s_grid, coeffs, f.grid.omegas)
+    peak = np.max(np.abs(values.real), axis=1)
+    resid = np.max(np.abs(values.imag), axis=1)
+    bad = resid > 1e-9 * np.maximum(peak, 1e-300)
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ConfigurationError(
-            f"synthesized trace is not real: imaginary residual {resid:.2e} "
-            f"against peak {peak:.2e}")
-    return PulseTrace(s_grid=f.s_grid, values=values.real)
+            f"synthesized trace is not real: imaginary residual {resid[i]:.2e} "
+            f"against peak {peak[i]:.2e}")
+    # a real copy, so the complex stack is freed
+    return values.real.copy()
 
 
 def transmitted_pulse(tspec: TransmissionSpectrum, f: SourcePulse) -> PulseTrace:
     """Window-frame transmitted trace: inverse transform of T(w) fhat(w)."""
-    return _synthesize(tspec, f, tspec.T)
+    return PulseTrace(s_grid=f.s_grid, values=_ensemble_traces([tspec], f)[0])
 
 
 def reflected_pulse(tspec: TransmissionSpectrum, f: SourcePulse) -> PulseTrace:
     """Window-frame reflected trace (diagnostic; no limit law is claimed)."""
-    return _synthesize(tspec, f, tspec.R)
+    return PulseTrace(s_grid=f.s_grid,
+                      values=_ensemble_traces([tspec], f, reflected=True)[0])
 
 
 def theory_longrange(f: SourcePulse, v_of_z: float) -> PulseTrace:
@@ -192,26 +216,52 @@ def pulse_distance(a: PulseTrace, b: PulseTrace) -> PulseDistance:
     if a.s_grid.shape != b.s_grid.shape or not np.allclose(
             a.s_grid, b.s_grid, rtol=1e-12, atol=1e-12):
         raise ConfigurationError("pulse traces live on different grids")
+    l2, sup, best_shift = _distances(a, b.values[None])
+    return PulseDistance(l2=l2[0], sup=float(sup[0]),
+                         best_shift=float(best_shift[0]))
+
+
+def _distances(a: PulseTrace, values):
+    """:func:`pulse_distance` of ``a`` against each row of ``values`` (R, n)
+    on a's grid: the l2 distances (a list), the sup distances and the best
+    shifts.  One transform of ``a``, one 2-D FFT of the rows and one aligned
+    inverse FFT; each l2 is its row's own 1-D sum."""
     ds = float(a.s_grid[1] - a.s_grid[0])
     n = a.s_grid.size
-    fa = np.fft.fft(a.values)
-    fb = np.fft.fft(b.values)
-    corr = np.fft.ifft(np.conj(fa) * fb).real
-    m = int(np.argmax(corr))
-    c_minus, c_0, c_plus = corr[(m - 1) % n], corr[m], corr[(m + 1) % n]
-    denom = c_minus - 2.0 * c_0 + c_plus
-    frac = 0.0 if denom == 0.0 else 0.5 * (c_minus - c_plus) / denom
-    signed = m if m <= n // 2 else m - n
-    best_shift = (signed + frac) * ds
+    fb = np.fft.fft(values)
+    best_shift = _best_shifts(np.fft.fft(a.values), fb, ds)
 
     # raw-DFT convention: advancing the sequence by tau multiplies its
     # transform by exp(+i w tau)
     omegas = FrequencyGrid.for_window(n, ds).omegas
-    aligned = np.fft.ifft(fb * np.exp(1j * omegas * best_shift)).real
-    diff = a.values - aligned
-    return PulseDistance(l2=float(math.sqrt(np.sum(diff ** 2) * ds)),
-                         sup=float(np.max(np.abs(diff))),
-                         best_shift=float(best_shift))
+    # in place, so that the product keeps the order fb * exp(...): numpy
+    # writes a product with a large temporary operand into that temporary,
+    # as exp(...) * fb, and a complex product is not bitwise commutative
+    phase = 1j * omegas * best_shift[:, None]
+    fb *= np.exp(phase, out=phase)
+    diff = a.values - np.fft.ifft(fb, out=fb).real
+    sup = np.max(np.abs(diff), axis=1)
+    sq = np.square(diff, out=diff)
+    return [math.sqrt(np.sum(row) * ds) for row in sq], sup, best_shift
+
+
+def _best_shifts(fa, fb, ds):
+    """Time shift of each row of ``fb`` relative to ``fa`` (transforms of
+    traces with sample step ds): the peak of their circular
+    cross-correlation, located by quadratic interpolation (no sub-sample
+    part where the correlation is flat about its peak)."""
+    corr = np.conj(fa) * fb
+    corr = np.fft.ifft(corr, out=corr).real
+    n = corr.shape[1]
+    m = np.argmax(corr, axis=1)
+    rows = np.arange(m.size)
+    c_minus, c_0, c_plus = (corr[rows, (m - 1) % n], corr[rows, m],
+                            corr[rows, (m + 1) % n])
+    denom = c_minus - 2.0 * c_0 + c_plus
+    flat = denom == 0.0
+    frac = 0.5 * (c_minus - c_plus) / np.where(flat, 1.0, denom)
+    frac[flat] = 0.0
+    return (np.where(m <= n // 2, m, m - n) + frac) * ds
 
 
 def pulse_width(trace: PulseTrace, *, lobe_floor=0.0) -> float:

@@ -407,6 +407,59 @@ class TestRun:
                 assert digests[path.name] == hashlib.sha256(
                     path.read_bytes()).hexdigest()
 
+    def test_benchmark_shape_matches_per_realization_loop(self, tmp_path):
+        """At the propagate benchmark's shape (eps = 0.05, h linear 0.6 ->
+        0.85, square_center, a 4,096-sample window, 16 realizations) the
+        batched media, spectra, traces and distances write the bytes of
+        one medium, spectrum, trace and distance per realization: every
+        artifact, records.json included, has the loop's digest."""
+        from lrwave.cli import _source_band
+        from lrwave.medium import build_medium
+        from lrwave.propagator import spectrum
+        from lrwave.pulse import (PulseTrace, pulse_distance, pulse_width,
+                                  reflected_pulse, transmitted_pulse)
+        from lrwave.serialize import write_json, write_pulse, write_spectrum
+
+        cfg = {"mode": "propagate", "seed": 13,
+               "output_dir": str(tmp_path / "run"),
+               "medium": {"epsilon": 0.05,
+                          "h": {"kind": "linear", "start": 0.6,
+                                "end": 0.85},
+                          "truncation": {"name": "square_center"}},
+               "source": {"kind": "gaussian", "width": 0.25,
+                          "window_lengths": 64.0, "n": 4096},
+               "ensemble": {"n_realizations": 16}}
+        assert run(cfg) == 0
+        manifest = json.loads(
+            (tmp_path / "run" / "run_manifest.json").read_text())
+        digests = {e["path"]: e["sha256"] for e in manifest["artifacts"]}
+        parsed = ExperimentConfig.from_dict(cfg)
+        source = parsed.source.build()
+        src = PulseTrace(s_grid=source.s_grid, values=source.values)
+        ref = tmp_path / "ref"
+        paths, records = [], []
+        for i in range(16):
+            real = build_medium(parsed.medium.to_spec(seed=(13, i)))
+            tspec = spectrum(real, source.grid, active=_source_band(source))
+            trace = transmitted_pulse(tspec, source)
+            dist = pulse_distance(src, trace)
+            records.append({
+                "epsilon": 0.05, "index": i, "l2": dist.l2,
+                "sup": dist.sup, "best_shift": dist.best_shift,
+                "v1_half": float(0.5 * np.cumsum(real.nu_eps * real.dz)[-1]),
+                "width_ratio": (pulse_width(trace, lobe_floor=0.02)
+                                / pulse_width(src, lobe_floor=0.02)),
+                "conservation_defect": tspec.conservation_defect()})
+            paths += [write_spectrum(ref / f"spectrum_{i:04d}.csv", tspec),
+                      write_pulse(ref / f"transmitted_{i:04d}.csv", trace),
+                      write_pulse(ref / f"reflected_{i:04d}.csv",
+                                  reflected_pulse(tspec, source))]
+        paths.append(write_json(ref / "records.json", records))
+        assert len(digests) == len(paths)
+        for path in paths:
+            assert digests[path.name] == hashlib.sha256(
+                path.read_bytes()).hexdigest(), path.name
+
     def test_record_v1_half_is_v_triple_endpoint(self, tmp_path):
         """A record's v1_half is half the endpoint of v_triple's v1 for the
         realization's own medium, bit for bit."""

@@ -9,7 +9,7 @@ from lrwave import (ConfigurationError, MediumSpec, PulseTrace,
                     constant_profile, gaussian_source, pulse_distance,
                     pulse_width, reflected_pulse, ricker_source, spectrum,
                     theory_longrange, theory_shortrange, transmitted_pulse)
-from lrwave.pulse import _make_source
+from lrwave.pulse import _distances, _ensemble_traces, _make_source
 
 
 @pytest.fixture(scope="module")
@@ -209,3 +209,96 @@ class TestPulseWidth:
                                   source)
             ratios.append(pulse_width(a, lobe_floor=0.02) / ref_w)
         assert abs(np.median(ratios) - 1.0) < 0.05
+
+
+def reference_trace(tspec, f, coeffs):
+    """One window-frame trace as it was computed one spectrum at a time,
+    each operation written out with its operand order."""
+    n, ds = f.s_grid.size, float(f.s_grid[1] - f.s_grid[0])
+    x = (coeffs * f.fhat) * np.exp(-1j * f.grid.omegas * f.s_grid[0])
+    return (np.fft.fft(x) / (n * ds)).real
+
+
+def reference_distance(a, b, s_grid):
+    """(l2, sup, best_shift) of one trace pair as it was computed one pair
+    at a time."""
+    ds, n = float(s_grid[1] - s_grid[0]), s_grid.size
+    fa, fb = np.fft.fft(a), np.fft.fft(b)
+    corr = np.fft.ifft(np.conj(fa) * fb).real
+    m = int(np.argmax(corr))
+    c_minus, c_0, c_plus = corr[(m - 1) % n], corr[m], corr[(m + 1) % n]
+    denom = c_minus - 2.0 * c_0 + c_plus
+    frac = 0.0 if denom == 0.0 else 0.5 * (c_minus - c_plus) / denom
+    best_shift = ((m if m <= n // 2 else m - n) + frac) * ds
+    omegas = 2.0 * np.pi * np.fft.fftfreq(n, ds)
+    aligned = np.fft.ifft(fb * np.exp(1j * omegas * best_shift)).real
+    diff = a - aligned
+    return (float(np.sqrt(np.sum(diff ** 2) * ds)),
+            float(np.max(np.abs(diff))), float(best_shift))
+
+
+class TestEnsemblePulses:
+    """The pulse stage over an (R, n) stack equals the per-trace
+    computation bit for bit; R = 20 traces of n = 4,096 make arrays of more
+    than 256 KB, which numpy treats otherwise than small ones."""
+
+    @pytest.fixture(scope="class")
+    def ensemble(self, source):
+        from lrwave import MediumSpec, build_media, spectra
+        spec = MediumSpec(epsilon=0.1, gamma_profile=constant_profile(0.8))
+        band = np.abs(source.fhat) ** 2 > 1e-16 * np.max(
+            np.abs(source.fhat) ** 2)
+        reals = build_media(spec, [(27, i) for i in range(20)])
+        return list(spectra(reals, source.grid, active=band))
+
+    @pytest.mark.parametrize("reflected", [False, True])
+    def test_traces_match_per_trace(self, source, ensemble, reflected):
+        got = _ensemble_traces(ensemble, source, reflected=reflected)
+        assert got.shape == (20, source.s_grid.size)
+        for tspec, row in zip(ensemble, got):
+            coeffs = tspec.R if reflected else tspec.T
+            want = reference_trace(tspec, source, coeffs)
+            assert row.tobytes() == want.tobytes()
+            one = (reflected_pulse if reflected else transmitted_pulse)(
+                tspec, source)
+            assert one.values.tobytes() == want.tobytes()
+
+    def test_spectra_must_share_grid_and_mask(self, source, ensemble):
+        other = replace(ensemble[1], active=ensemble[1].active.copy())
+        with pytest.raises(ConfigurationError, match="share"):
+            _ensemble_traces([ensemble[0], other], source)
+
+    def test_distances_match_per_trace(self, source, ensemble):
+        a = source.values
+        rows = [reference_trace(t, source, t.T) for t in ensemble]
+        # correlation peaks at index 0 and at n - 1, and a zero trace,
+        # whose correlation is flat (denom == 0)
+        rows += [a.copy(), np.roll(a, -1), np.zeros_like(a)]
+        stack = np.array(rows)
+        l2, sup, shift = _distances(PulseTrace(source.s_grid, a), stack)
+        n = a.size
+        peaks = [int(np.argmax(np.fft.ifft(np.conj(np.fft.fft(a))
+                                           * np.fft.fft(b)).real))
+                 for b in rows[-3:]]
+        assert peaks[:2] == [0, n - 1]
+        for i, b in enumerate(rows):
+            want = reference_distance(a, b, source.s_grid)
+            assert (l2[i], float(sup[i]), float(shift[i])) == want
+            one = pulse_distance(PulseTrace(source.s_grid, a),
+                                 PulseTrace(source.s_grid, b))
+            assert (one.l2, one.sup, one.best_shift) == want
+        ds = float(source.s_grid[1] - source.s_grid[0])
+        assert abs(shift[-3]) < 1e-9 and abs(shift[-2] + ds) < 1e-9
+        assert shift[-1] == 0.0
+
+    def test_flat_reference_correlation(self, source, ensemble):
+        """A zero reference makes every row's correlation zero: denom == 0
+        gives a zero shift in each row."""
+        zero = np.zeros(source.s_grid.size)
+        rows = np.array([reference_trace(t, source, t.T)
+                         for t in ensemble[:3]])
+        l2, sup, shift = _distances(PulseTrace(source.s_grid, zero), rows)
+        assert np.all(shift == 0.0)
+        for i, b in enumerate(rows):
+            assert (l2[i], float(sup[i]), float(shift[i])) == \
+                reference_distance(zero, b, source.s_grid)
