@@ -84,8 +84,9 @@ def hermite_covariance(h, t1, t2):
     h = validate_hurst(h)
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    if np.any(t1 < 0) or np.any(t2 < 0):
-        raise DomainError("times must be nonnegative")
+    # NaN fails every comparison
+    if not np.all((t1 >= 0) & (t1 < np.inf) & (t2 >= 0) & (t2 < np.inf)):
+        raise DomainError("times must be finite and nonnegative")
     val = 0.5 * (np.abs(t1) ** (2 * h) + np.abs(t2) ** (2 * h)
                  - np.abs(t1 - t2) ** (2 * h))
     return float(val) if val.ndim == 0 else val

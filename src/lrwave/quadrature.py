@@ -1,7 +1,8 @@
 """Panel Gauss-Legendre helpers for singular and oscillatory integrands.
 
 Used by the covariance oracles: power-law kernels are integrable but stiff
-near their singular point, so panels are graded geometrically toward it.
+near their singular point, so panels are graded geometrically toward it,
+and oscillatory power tails end in a closed-form series.
 """
 from __future__ import annotations
 
@@ -14,6 +15,11 @@ import numpy as np
 # geometric_edges: default adjacent panel-length ratio, most panels per
 # interval
 _RATIO, _MAX_PANELS = 2.0, 64
+# panel_integral: Gauss-Legendre orders of its value and of its error check
+_NPTS, _NPTS_CHECK = 24, 16
+# cos_power_tail: least cutoff of the half-period panels, and terms of the
+# series beyond it (for q >= -3 the last is below 1e-21 of the first)
+_TAIL_CUTOFF, _TAIL_TERMS = 64.0, 40
 
 
 @lru_cache(maxsize=8)
@@ -74,3 +80,41 @@ def geometric_edges(a, b, *, toward="left", min_frac=1e-13, ratio=_RATIO):
     if toward == "right":
         return b - length * t[::-1]
     raise ValueError(f"unknown grading direction {toward!r}")
+
+
+def panel_integral(f, edges):
+    """(integral, error estimate) of the vectorized ``f`` over the panels
+    ``edges``: the 24-point Gauss-Legendre rule on each panel, and its
+    difference from the 16-point rule."""
+    value, check = (w @ f(x) for x, w in (panel_nodes(edges, n)
+                                          for n in (_NPTS, _NPTS_CHECK)))
+    return float(value), abs(float(value - check))
+
+
+def cos_power_tail(w, q, b):
+    """(int_b^inf cos(w x) x^q dx, error estimate) for q < -1 and b > 0.
+
+    At w = 0 this is -b^(q+1)/(q+1).  Otherwise y = |w| x gives
+    |w|^(-q-1) int_a^inf cos(y) y^q dy with a = |w| b, integrated on panels
+    graded toward a over [a, pi], half-period panels up to a cutoff
+    A >= 64, and beyond A the integration-by-parts series
+    Re(i e^(iA) A^q sum_k i^k q (q-1) ... (q-k+1) / A^k).
+    """
+    w = abs(float(w))
+    if w == 0.0:
+        return -(b ** (q + 1.0)) / (q + 1.0), 0.0
+    a = w * b
+    lo = max(a, math.pi)
+    edges = lo + math.pi * np.arange(
+        max(0, math.ceil((_TAIL_CUTOFF - lo) / math.pi)) + 1.0)
+    if a < math.pi:
+        # y^q varies on the scale a: the first panel is no longer than a
+        edges = np.r_[geometric_edges(a, math.pi, min_frac=a / math.pi)[:-1],
+                      edges]
+    value, err = panel_integral(lambda y: np.cos(y) * y ** q, edges)
+    cut = edges[-1]
+    k = np.arange(_TAIL_TERMS)
+    series = np.cumprod(np.r_[1.0, (q - k[:-1]) / cut]) @ 1j ** k
+    value += (1j * np.exp(1j * cut) * cut ** q * series).real
+    scale = w ** (-q - 1.0)
+    return float(value * scale), err * scale

@@ -36,8 +36,8 @@ def test_package_names_are_declared():
 
 
 def test_quadrature_import_is_deferred():
-    """Importing the package and its CLI leaves scipy.integrate out; the
-    quadrature cross-check imports it when called."""
+    """Importing the package and its CLI leaves scipy.integrate out, and the
+    normalization cross-check runs on quadrature.py's panels without it."""
     code = ("import sys, lrwave, lrwave.cli\n"
             "assert 'scipy.integrate' not in sys.modules\n"
             "from lrwave import renorm_constant_sq_quadrature\n"
@@ -52,7 +52,8 @@ def test_quadrature_import_is_deferred():
 
 def test_run_modes_import_no_scipy(tmp_path):
     """A fresh interpreter imports the package and its CLI and runs tiny
-    synth, sweep, propagate and limits configs without loading scipy."""
+    synth, sweep, propagate and limits configs, and the verify checks,
+    without loading scipy."""
     medium = {"epsilon": 0.1, "truncation": {"name": "square_center"},
               "h": {"kind": "linear", "start": 0.6, "end": 0.8}}
     source = {"kind": "gaussian", "width": 1.0, "window_lengths": 16.0,
@@ -63,6 +64,7 @@ def test_run_modes_import_no_scipy(tmp_path):
          "sweep": {"epsilons": [0.1]}},
         {"mode": "propagate", "medium": medium, "source": source},
         {"mode": "limits", "limits": {"kind": "multifrac", "n": 256}},
+        {"mode": "verify"},
     ]
     for i, cfg in enumerate(configs):
         cfg.update(output_dir=str(tmp_path / str(i)),

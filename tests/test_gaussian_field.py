@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrwave import (ConfigurationError, DomainError, MediumSpec,
-                    SynthesisError, Trajectory, asymptotic_covariance_scale,
+                    QuadratureError, SynthesisError, Trajectory,
+                    asymptotic_covariance_scale,
                     fgn_covariance, field_covariance,
                     increment_field_covariance, linear_profile,
                     renorm_constant, renorm_constant_sq,
@@ -47,6 +48,18 @@ class TestRenormConstant:
         assert renorm_constant_sq(0.5) == pytest.approx(2 * np.pi, rel=1e-12)
         assert renorm_constant_sq_quadrature(0.5) == pytest.approx(
             2 * np.pi, rel=1e-6)
+
+    def test_quadrature_matches_closed_form(self):
+        hs = np.linspace(0.51, 0.99, 25)
+        rel = max(abs(renorm_constant_sq_quadrature(h) - renorm_constant_sq(h))
+                  / renorm_constant_sq(h) for h in hs)
+        assert rel < 1e-12
+
+    @pytest.mark.parametrize("err", [np.nan, 1e-3])
+    def test_unconverged_quadrature_raises(self, monkeypatch, err):
+        monkeypatch.setattr(gf, "_spectral_integral", lambda d, s: (6.0, err))
+        with pytest.raises(QuadratureError):
+            renorm_constant_sq_quadrature(0.5)
 
     def test_closed_form_at_three_quarters(self):
         from scipy.special import gamma
@@ -369,6 +382,24 @@ class TestFieldCovariance:
     def test_domain(self):
         with pytest.raises(DomainError):
             field_covariance(0.0, 1.0, 0.3, 0.3)   # index sum below 1
+
+    @pytest.mark.parametrize("value", [np.nan, 2.0])
+    def test_disagreement_with_closed_form_raises(self, monkeypatch, value):
+        """A quadrature value off the closed form fails the check, and so
+        does NaN."""
+        monkeypatch.setattr(gf, "_spectral_integral",
+                            lambda d, s: (value, 0.0))
+        with pytest.raises(QuadratureError):
+            field_covariance(0.0, 10.0, 0.75, 0.75)
+
+    @pytest.mark.parametrize("z", [np.nan, np.inf])
+    def test_non_finite_depth(self, z):
+        with pytest.raises(DomainError, match="finite"):
+            field_covariance(0.0, z, 0.7, 0.7)
+        with pytest.raises(DomainError, match="finite"):
+            increment_field_covariance(0.0, z, 0.7, 0.7)
+        with pytest.raises(DomainError, match="finite"):
+            increment_field_covariance(np.array([0.0, z]), 1.0, 0.7, 0.7)
 
 
 class TestAsymptoticScale:

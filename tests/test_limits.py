@@ -34,6 +34,13 @@ class TestHermiteCovariance:
         with pytest.raises(DomainError):
             hermite_covariance(0.75, -1.0, 1.0)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time(self, t):
+        with pytest.raises(DomainError, match="finite"):
+            hermite_covariance(0.7, 1.0, t)
+        with pytest.raises(DomainError, match="finite"):
+            hermite_covariance(0.7, np.array([t, 0.5]), 1.0)
+
 
 class TestSimulateHermite:
     def test_gaussian_case_covariance(self):

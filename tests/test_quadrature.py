@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from lrwave.quadrature import geometric_edges, panel_count, panel_nodes
+from lrwave.quadrature import (cos_power_tail, geometric_edges, panel_count,
+                               panel_integral, panel_nodes)
 
 
 def _segments(rng, m):
@@ -70,3 +73,54 @@ class TestBatchedPanels:
             nodes, weights = panel_nodes(geometric_edges(a, b, min_frac=1e-2), 12)
             assert np.dot(weights, nodes ** 5) == pytest.approx(
                 (b ** 6 - a ** 6) / 6.0, rel=1e-13)
+
+
+class TestPanelIntegral:
+    def test_polynomial_is_exact_with_zero_error(self):
+        value, err = panel_integral(lambda x: x ** 9,
+                                    geometric_edges(0.5, 3.0, min_frac=1e-2))
+        assert value == pytest.approx((3.0 ** 10 - 0.5 ** 10) / 10.0,
+                                      rel=1e-14)
+        assert err < 1e-12 * value
+
+    def test_error_estimate_sees_an_unresolved_panel(self):
+        value, err = panel_integral(np.cos, np.array([0.0, 200.0]))
+        assert abs(value - math.sin(200.0)) <= err
+
+
+class TestCosPowerTail:
+    """cos_power_tail(w, q, b) = int_b^inf cos(w x) x^q dx against closed
+    forms."""
+
+    @pytest.mark.parametrize("q", [-1.5, -2.02, -2.98])
+    @pytest.mark.parametrize("b", [0.3, 1.0, 7.0])
+    def test_zero_frequency(self, q, b):
+        assert cos_power_tail(0.0, q, b) == (-b ** (q + 1.0) / (q + 1.0), 0.0)
+
+    # beyond w b ~ 10, pi/2 - Si(w b) cancels to ~ cos(w b) / (w b), and
+    # the closed form keeps fewer digits than the quadrature
+    @pytest.mark.parametrize("wb", [1e-3, 1.0, 10.0])
+    @pytest.mark.parametrize("b", [0.5, 2.0])
+    def test_inverse_square_is_sine_integral(self, wb, b):
+        from scipy.special import sici
+        w = wb / b
+        want = math.cos(wb) / b - w * (math.pi / 2.0 - sici(wb)[0])
+        for sign in (1.0, -1.0):
+            value, err = cos_power_tail(sign * w, -2.0, b)
+            assert value == pytest.approx(want, rel=1e-12)
+            assert err < 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("wb", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("q", [-2.02, -2.5, -2.98])
+    def test_incomplete_gamma(self, wb, q):
+        """At b = 1, int_1^inf cos(w x) x^q dx = w^(-q-1) int_w^inf
+        cos(y) y^q dy, and int_w^inf cos(y) y^q dy is
+        Re(i^(q+1) Gamma(q+1, -i w))."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            w = mp.mpf(wb)
+            want = float(w ** (-q - 1) * mp.re(
+                mp.exp(0.5j * mp.pi * (q + 1)) * mp.gammainc(q + 1, -1j * w)))
+        value, err = cos_power_tail(wb, q, 1.0)
+        assert value == pytest.approx(want, rel=1e-12)
+        assert err < 1e-12 * abs(want)
