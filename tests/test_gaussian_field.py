@@ -97,6 +97,12 @@ class TestFgnCovariance:
         with pytest.raises(DomainError):
             fgn_covariance(0.75, -1)
 
+    @pytest.mark.parametrize("lag", [np.nan, np.inf, -np.inf,
+                                     np.array([0.0, 1.0, np.nan, 3.0])])
+    def test_non_finite_lag_rejected(self, lag):
+        with pytest.raises(DomainError, match="finite"):
+            fgn_covariance(0.7, lag)
+
     @given(hurst_lr, st.integers(min_value=1, max_value=500))
     @settings(max_examples=30, deadline=None)
     def test_matches_increment_field_at_integer_lags(self, h, k):
@@ -391,6 +397,19 @@ class TestFieldCovariance:
                             lambda d, s: (value, 0.0))
         with pytest.raises(QuadratureError):
             field_covariance(0.0, 10.0, 0.75, 0.75)
+
+    @pytest.mark.parametrize("lag", [1e3, 1e4])
+    def test_long_lags_converge(self, lag):
+        fc = field_covariance(0.0, lag, 0.75, 0.75)
+        assert abs(fc.value - fc.closed_form) < 1e-8 * fc.closed_form
+
+    @pytest.mark.parametrize("lag", [1e5, 1e6, 1e7])
+    def test_unconverged_long_lag_raises(self, lag):
+        """Beyond about 1e4 the cosine tails cancel and the quadrature's own
+        error estimate grows past 1e-6 of the value: at 1e6 the value is
+        3.5e-5 off the closed form."""
+        with pytest.raises(QuadratureError):
+            field_covariance(0.0, lag, 0.75, 0.75)
 
     @pytest.mark.parametrize("z", [np.nan, np.inf])
     def test_non_finite_depth(self, z):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lrwave import MediumSpec, build_medium, constant_profile, synthesize_fgn
 from lrwave import serialize
@@ -193,3 +195,70 @@ class TestSpectrumRows:
                 ["t", "v"], cols)
             assert info().currsize <= info().maxsize
         assert info().currsize == info().maxsize == 4
+
+
+class TestFormatKernel:
+    """Values after the grid are formatted by an array kernel; every file
+    must equal the per-value fmt() reference, for any float64."""
+
+    @staticmethod
+    def check(tmp_path, values, n_cols):
+        """values laid out row by row in n_cols columns after a grid."""
+        values = np.asarray(values, dtype=float)
+        values = values[:values.size - values.size % n_cols]
+        rest = values.reshape(-1, n_cols)
+        cols = [np.arange(float(rest.shape[0])), *rest.T]
+        header = ["t"] + [f"v{j}" for j in range(n_cols)]
+        assert written(tmp_path, header, cols) == reference_csv(header, cols)
+
+    @pytest.mark.parametrize("n_cols", [1, 3])
+    @given(values=st.lists(st.floats(), min_size=1, max_size=60))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_float(self, tmp_path, n_cols, values):
+        # every example rewrites the one file, so sharing tmp_path is safe
+        self.check(tmp_path, values, n_cols)
+
+    def test_full_exponent_range(self, tmp_path):
+        rng = np.random.default_rng(11)
+        exps = np.repeat(np.arange(-1100, 1030), 3)
+        with np.errstate(over="ignore"):
+            x = np.ldexp(rng.uniform(0.5, 1.0, exps.size), exps)
+        x *= np.where(rng.random(exps.size) < 0.5, -1.0, 1.0)
+        for n_cols in (1, 3):
+            self.check(tmp_path, x, n_cols)
+
+    def test_built_ties(self, tmp_path):
+        """odd/4 and odd/8 below 2^53 are exact 17-digit ties; odd 2^-60
+        lands near them."""
+        odd = np.random.default_rng(12).integers(2 ** 50, 2 ** 53, 3000) | 1
+        self.check(tmp_path, np.concatenate([odd / 4.0, odd / 8.0,
+                                             odd * 2.0 ** -60]), 3)
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        """Near a power of ten k changes; 1e-12 rounds to 1e16 digits at the
+        wrong k, and 1e-14 carries to 10^17."""
+        x = [1e-12, 1e-14, 1e98, 1e153, *(10.0 ** np.arange(-300, 301))]
+        for c in (1e-5, 1e-4, 1e16, 1e17, 1e-290, 1e290, 1e-12, 1.0):
+            for toward in (0.0, np.inf):
+                y = c
+                for _ in range(8):
+                    y = np.nextafter(y, toward)
+                    x.append(y)
+        self.check(tmp_path, np.concatenate([x, np.negative(x)]), 3)
+
+    def test_fallback_branches(self, monkeypatch):
+        """Only non-finite values, |x| outside [1e-290, 1e290] and exact
+        ties go to fmt(), and the cells equal its text."""
+        tie = (4e15 + 1) / 4           # 1e15 + 0.25: 17-digit tie
+        fallback = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e-300,
+                    -1e300, np.nextafter(1e-290, 0.0), tie, -tie]
+        kernel = [1e-290, 1e290, -np.pi, np.nextafter(tie, 0.0), 123.5]
+        v = np.array(fallback + kernel)[:, None]
+        calls = []
+        monkeypatch.setattr(serialize, "fmt",
+                            lambda x: calls.append(x) or fmt(x))
+        cells, mask = serialize._format_cells(v, np.frombuffer(b"\n", np.uint8))
+        assert cells[mask].tobytes().decode() == "".join(
+            fmt(x) + "\n" for x in v[:, 0])
+        assert [fmt(x) for x in calls] == [fmt(x) for x in fallback]
