@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,6 +215,15 @@ def validate_hurst(h):
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError(f"hurst index must lie in (0, 1), got {h}")
     return float(arr) if arr.ndim == 0 else arr
+
+
+def _integer(value, name):
+    """``value`` as an int; DomainError naming ``name`` for anything that
+    is not an integer (a fractional, NaN or infinite float included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _polevl(t, coef, out=None):
@@ -424,7 +434,7 @@ def synthesize_coupled_fgn(levels, n, seed) -> np.ndarray:
     by circulant embedding: exact up to the clipped eigenvalue mass (none
     for one level, fGn: Craigmile 2003, J. Time Series Anal. 24:5)."""
     levels = tuple(validate_hurst(np.asarray(levels, dtype=float)).tolist())
-    n = int(n)
+    n = _integer(n, "length n")
     if n < 2:
         raise DomainError("need at least two samples")
     f, z, x = _embedding_factor(levels, n)

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DomainError
 from .gaussian_field import (Trajectory, _asymptotic_scale,
                              _increment_covariance, _index_ladder,
-                             _lagrange_weights, fgn_covariance,
+                             _integer, _lagrange_weights, fgn_covariance,
                              renorm_constant, synthesize_coupled_fgn,
                              validate_hurst)
 # unused here; kept as a module attribute that perfbench/tracer.py patches
@@ -92,11 +92,9 @@ def hermite_covariance(h, t1, t2):
     return float(val) if val.ndim == 0 else val
 
 
-@lru_cache(maxsize=8)
 def _hermite_sum_std(h_tilde, k, n):
     """Exact standard deviation of sum_{j<=n} P_K(Y_j) for fGn(h_tilde):
-    Var = K! * sum_l (n - |l|) rho(l)^K.  Cached: every path of one
-    (index, rank, length) shares it."""
+    Var = K! * sum_l (n - |l|) rho(l)^K."""
     lags = np.arange(1, n)
     rho_k = fgn_covariance(h_tilde, lags) ** k
     var = math.factorial(k) * (n + 2.0 * np.dot(n - lags, rho_k))
@@ -122,6 +120,21 @@ def _weighted_hermite_sum_std(h_field, weights, k):
         var += float(weights[j[:, 0]] @ ((np.sign(l - j) + 1.0) * r ** k)
                      @ weights[l])
     return math.sqrt(math.factorial(k) * var)
+
+
+# eight: a few (index, rank, length) keys per process; the limits workload
+# has one, its rank-2 Hermite paths
+@lru_cache(maxsize=8)
+def _path_scale(index, k, n):
+    """The sd that divides a rank-k path of length n: for the constant
+    index ``index`` (a float) the lag sum of :func:`_hermite_sum_std`, for
+    a varying one (the float64 bytes of h(j/n), j = 1..n) the pair sum of
+    :func:`_weighted_hermite_sum_std` with weights n^(-h).  Cached: every
+    path of one (index, rank, length) shares it."""
+    if isinstance(index, float):
+        return _hermite_sum_std((index - 1.0) / k + 1.0, k, n)
+    h = np.frombuffer(index)
+    return _weighted_hermite_sum_std((h - 1.0) / k + 1.0, float(n) ** (-h), k)
 
 
 # four: the limits workload's two profiles at two lengths each
@@ -167,9 +180,10 @@ def simulate(h_profile, k, n, seed) -> Trajectory:
     every K.  A varying index weights the increments N^(-h(j/N)); K = 1 is
     not rescaled, K >= 2 is divided by the exact sd of its end point,
     sqrt(K! sum_{j,l} w_j w_l r_jl^K), an O(n^2) sum (about 0.05 s at
-    n = 2^10, 0.8 s at 2^12).
+    n = 2^10, 0.8 s at 2^12) paid once per (index, rank, length) in a
+    process (:func:`_path_scale`).
     """
-    k, n = int(k), int(n)
+    k, n = _integer(k, "rank k"), _integer(n, "length n")
     if k < 1:
         raise DomainError("rank must be a positive integer")
     if n < 2:
@@ -183,11 +197,10 @@ def simulate(h_profile, k, n, seed) -> Trajectory:
     h_field = (h - 1.0) / k + 1.0
     p = hermite_poly(k, sample_field_diagonal(h_field, n, seed)[0])
     if constant:
-        sums, scale = np.cumsum(p), _hermite_sum_std(h_field, k, n)
+        sums, scale = np.cumsum(p), _path_scale(float(h), k, n)
     else:
-        weights = float(n) ** (-h)
-        sums = np.cumsum(weights * p)
-        scale = 1.0 if k == 1 else _weighted_hermite_sum_std(h_field, weights, k)
+        sums = np.cumsum(float(n) ** (-h) * p)
+        scale = 1.0 if k == 1 else _path_scale(h.tobytes(), k, n)
     values = np.concatenate([[0.0], sums])
     if scale != 1.0:
         values /= scale
@@ -246,11 +259,11 @@ def sh_covariance(h_profile, z1, z2, *, j1=1.0) -> float:
     z1, z2 = sorted((float(z1), float(z2)))
     if not (z1 >= 0 and z2 < math.inf):
         raise DomainError("depths must be finite and nonnegative")
-    if z1 == 0.0:
-        return 0.0
     prof = _as_profile(h_profile)
     check = np.linspace(0.0, z2, 65)
     _checked_index(prof(check), check.shape)
+    if z1 == 0.0:
+        return 0.0
     j1_sq = float(j1) ** 2
     delta = _SH_BAND * z2
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .gaussian_field import Trajectory
+from .gaussian_field import Trajectory, _integer
 
 __all__ = [
     "EstimateWithCI",
@@ -129,15 +129,21 @@ def local_hurst(traj: Trajectory, t0, window=None, *,
     ``window`` is the number of samples (defaults to 1/16 of the path,
     floored at 2^8); the estimator is the global one restricted to the
     window, with fewer trimmed scales so short windows keep enough points.
+    t0 must lie on the path's time span.
     """
     n = traj.values.size
     if window is None:
         window = max(n // 16, 1 << 8)
-    window = int(window)
+    window = _integer(window, "window")
     if window < 1 << 8:
         raise DomainError("window must cover at least 2^8 samples")
     if window > n:
         raise DomainError("window exceeds the trajectory")
+    t0 = float(t0)
+    # NaN fails both comparisons
+    if not traj.t_grid[0] <= t0 <= traj.t_grid[-1]:
+        raise DomainError(f"t0 = {t0!r} lies outside the path's time span "
+                          f"[{traj.t_grid[0]:g}, {traj.t_grid[-1]:g}]")
     center = int(np.searchsorted(traj.t_grid, t0))
     lo = np.clip(center - window // 2, 0, n - window)
     return _hurst_core(traj.values[lo:lo + window], n_boot=n_boot,

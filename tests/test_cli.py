@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lrwave.cli
+import lrwave.limits
 from lrwave.cli import main, run
 from lrwave.config import LIMIT_KINDS, MODES, ExperimentConfig
 from lrwave.errors import ConfigurationError
@@ -477,6 +479,68 @@ class TestRun:
         for i, record in enumerate(records):
             v1 = v_triple(build_medium(medium.to_spec(seed=(12, i))), 0.0).v1
             assert record["v1_half"] == float(0.5 * v1.values[-1])
+
+
+class TestLimitsCovarianceCache:
+    """The covariance grid does not depend on the seed: a process computes
+    it once per profile, keyed by the profile's canonical JSON."""
+
+    @staticmethod
+    def limits_config(out, seed, profiles=None):
+        lim = {"kind": "multifrac", "n": 256}
+        if profiles is not None:
+            lim["profiles"] = profiles
+        return {"mode": "limits", "seed": seed, "output_dir": str(out),
+                "limits": lim}
+
+    @staticmethod
+    def grids(out):
+        return {p.name: p.read_bytes()
+                for p in sorted(out.glob("*_covariance.csv"))}
+
+    def test_second_run_calls_no_oracle(self, tmp_path, monkeypatch):
+        calls = []
+        oracle = lrwave.limits.sh_covariance
+        monkeypatch.setattr(lrwave.limits, "sh_covariance",
+                            lambda *a, **kw: calls.append(a) or oracle(*a, **kw))
+        lrwave.cli._covariance_grid.cache_clear()
+        counts = []
+        for seed, out in ((1, "a"), (2, "b")):
+            before = len(calls)
+            assert run(self.limits_config(tmp_path / out, seed)) == 0
+            counts.append(len(calls) - before)
+        assert counts == [20, 0]
+        a, b = self.grids(tmp_path / "a"), self.grids(tmp_path / "b")
+        assert len(a) == 2 and a == b
+        lrwave.cli._covariance_grid.cache_clear()
+        assert run(self.limits_config(tmp_path / "c", 3)) == 0
+        assert len(calls) == 40
+        assert self.grids(tmp_path / "c") == a
+
+    def test_key_is_canonical_profile_json(self, tmp_path):
+        cache = lrwave.cli._covariance_grid
+        prof = {"kind": "periodic", "mean": 0.7, "amplitude": 0.15,
+                "cycles": 2.0}
+        cache.cache_clear()
+        assert run(self.limits_config(tmp_path / "a", 1, [prof])) == 0
+        reordered = dict(reversed(list(prof.items())))
+        assert run(self.limits_config(tmp_path / "b", 2, [reordered])) == 0
+        info = cache.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        changed = dict(prof, amplitude=0.1)
+        assert run(self.limits_config(tmp_path / "c", 1, [changed])) == 0
+        info = cache.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+
+    def test_cache_bounded(self, tmp_path):
+        cache = lrwave.cli._covariance_grid
+        cache.cache_clear()
+        profiles = [{"kind": "linear", "start": 0.6, "end": 0.6 + 0.05 * i}
+                    for i in range(1, 6)]
+        assert run(self.limits_config(tmp_path, 1, profiles)) == 0
+        info = cache.cache_info()
+        assert info.misses == 5
+        assert info.currsize <= info.maxsize < 5
 
 
 class TestMain:

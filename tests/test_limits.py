@@ -83,11 +83,32 @@ class TestSimulateHermite:
                               expected)
 
     def test_normalization_computed_once_per_key(self):
-        lm._hermite_sum_std.cache_clear()
+        lm._path_scale.cache_clear()
         for seed in range(3):
             simulate_hermite(0.7, 2, 512, seed)
-        info = lm._hermite_sum_std.cache_info()
+        info = lm._path_scale.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+
+    @pytest.mark.parametrize("k, n", [
+        (1.9, 100), (1, 100.7), (math.nan, 100), (1, math.nan), (1, math.inf),
+        (math.inf, 100)])
+    def test_non_integral_rank_or_length(self, k, n):
+        with pytest.raises(DomainError, match="rank k" if n == 100
+                           else "length n"):
+            simulate(0.7, k, n, 0)
+
+    @pytest.mark.parametrize("n", [64.9, math.nan, math.inf])
+    def test_non_integral_synthesis_length(self, n):
+        with pytest.raises(DomainError, match="length n"):
+            gf.synthesize_coupled_fgn((0.7,), n, 1)
+        with pytest.raises(DomainError, match="length n"):
+            synthesize_fgn(0.7, n, 1)
+
+    def test_numpy_integer_arguments(self):
+        a = simulate(0.7, np.int64(2), np.int64(512), 3)
+        assert np.array_equal(a.values, simulate(0.7, 2, 512, 3).values)
+        assert gf.synthesize_coupled_fgn((0.7,), np.int64(64), 1).shape == (
+            64, 1)
 
 
 class TestSimulateSh:
@@ -161,6 +182,18 @@ class TestSimulateShHermite:
         sk_a = np.mean(a_end ** 3)
         sk_b = np.mean(b_end ** 3)
         assert np.sign(sk_a) == np.sign(sk_b) == 1.0
+
+    def test_varying_normalization_computed_once_per_key(self):
+        """Rank 2 on a varying profile: one pair sum for every path of one
+        (profile, length); rank 1 is not rescaled and takes no key."""
+        prof = lambda u: 0.6 + 0.2 * np.asarray(u)
+        lm._path_scale.cache_clear()
+        for seed in range(3):
+            simulate(prof, 2, 256, seed)
+        simulate(prof, 2, 128, 0)
+        simulate_sh(prof, 256, 0)
+        info = lm._path_scale.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
 
     def test_varying_profile_calibrated(self):
         # the exact pair-sum normalization: varying profile, K >= 2
@@ -375,6 +408,13 @@ class TestShCovariance:
                     sh_covariance(0.7, z1, z2)
         with pytest.raises(DomainError):
             sh_covariance(0.3, 1.0, 1.0)
+
+    @pytest.mark.parametrize("profile", [0.3, lambda u: np.full_like(
+        np.asarray(u, dtype=float), 0.3)])
+    @pytest.mark.parametrize("z1, z2", [(0.0, 1.0), (1.0, 0.0)])
+    def test_zero_depth_checks_profile(self, profile, z1, z2):
+        with pytest.raises(DomainError, match="index profile"):
+            sh_covariance(profile, z1, z2)
 
 
 def _reference_inner(u1, z2, h_prof, j1_sq, band, npts=12):

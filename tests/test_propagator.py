@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrwave import (ConfigurationError, FrequencyGrid, MediumSpec, StateError,
-                    build_medium, constant_profile, propagate, spectra,
-                    spectrum, transmission, v_triple)
+                    build_medium, constant_profile, linear_profile, propagate,
+                    spectra, spectrum, transmission, truncation, v_triple)
 from lrwave.propagator import (_BLOCK, _LANES, MAX_PHASE_STEP,
                                PropagatorState, _slab_product, _substeps)
 
@@ -105,6 +105,26 @@ class TestTransmission:
         bad = PropagatorState(alpha=0.5 + 0j, beta=0.0j)
         with pytest.raises(StateError):
             transmission(bad)
+
+    @pytest.mark.parametrize("spec", [
+        MediumSpec(epsilon=0.05, gamma_profile=constant_profile(0.8),
+                   seed=(1, 0)),
+        MediumSpec(epsilon=0.05, h_profile=linear_profile(0.6, 0.8),
+                   truncation=truncation("square_center"), seed=(2, 0)),
+        MediumSpec(epsilon=0.1, gamma_profile=constant_profile(0.8),
+                   seed=(3, 0)),
+    ], ids=["constant", "rank2_linear", "constant_eps0.1"])
+    def test_group_delay_is_half_travel_time(self, spec):
+        """arg T(w)/w - v1(Z)/2 = O(w^2) for any medium: the defect falls a
+        hundredfold per decade of w (1.1e-11, -3.9e-10 and 1.1e-10 at
+        w = 1e-5 for these media)."""
+        real = build_medium(spec)
+        v1_half = 0.5 * np.sum(real.nu_eps * real.dz)
+        d = np.array([np.angle(transmission(propagate(real, w))[0]) / w
+                      - v1_half for w in (1e-3, 1e-4, 1e-5)])
+        ratios = d[1:] / d[:-1]
+        assert np.all((0.009 <= ratios) & (ratios <= 0.011))
+        assert abs(d[-1]) < 1e-8
 
 
 class TestSpectrum:

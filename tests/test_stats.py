@@ -82,6 +82,21 @@ class TestLocalHurst:
             local_hurst(tr, 0.5, window=64)
         with pytest.raises(DomainError):
             local_hurst(tr, 0.5, window=1 << 13)
+        with pytest.raises(DomainError, match="window"):
+            local_hurst(tr, 0.5, window=1024.5)
+        assert local_hurst(tr, 0.5, window=np.int64(1024), n_boot=0).value \
+            == local_hurst(tr, 0.5, window=1024, n_boot=0).value
+
+    @pytest.mark.parametrize("t0", [1.5, -0.25, np.nan, np.inf])
+    def test_t0_outside_path_rejected(self, t0):
+        tr = fbm_traj(0.7, 1 << 12, seed=78)
+        with pytest.raises(DomainError, match="t0"):
+            local_hurst(tr, t0, window=1024, n_boot=0)
+
+    def test_t0_at_path_ends_accepted(self):
+        tr = fbm_traj(0.7, 1 << 12, seed=78)
+        for t0 in (tr.t_grid[0], tr.t_grid[-1]):
+            assert np.isfinite(local_hurst(tr, t0, window=1024, n_boot=0).value)
 
 
 class TestDyadicPVariation:
